@@ -242,7 +242,7 @@ def cmd_eval(args) -> int:
         manifest["config"]["solver"]
     )
     metric, nfe = evaluate_metric(model, ds, solver)
-    print(json.dumps({"metric": metric, "nfe_mean": float(nfe)}, sort_keys=True))
+    print(json.dumps({"metric": metric, "nfe_mean": float(nfe)}, sort_keys=True, allow_nan=False))
     return 0
 
 
@@ -253,7 +253,7 @@ def cmd_diagnose(args) -> int:
     report = build_report(model, ds)
     out_dir = Path(args.out) if args.out else checkpoint_dir
     payload = write_report(report, out_dir)
-    print(json.dumps(payload, sort_keys=True))
+    print(json.dumps(payload, sort_keys=True, allow_nan=False))
     log.info("wrote diagnostics to %s", out_dir)
     return 0
 
@@ -332,7 +332,7 @@ def cmd_compare(args) -> int:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "comparison.json").write_text(json.dumps(table, indent=2, sort_keys=True))
-    print(json.dumps(table, sort_keys=True))
+    print(json.dumps(table, sort_keys=True, allow_nan=False))
     print(_format_table(table), file=sys.stderr)
     return 0
 

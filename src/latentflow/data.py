@@ -97,17 +97,31 @@ class PairedDataset:
             self.y_std = np.ones(self.y.shape[1])
 
     def _reject_conflicting_duplicates(self):
-        seen: dict[bytes, int] = {}
-        for i in range(self.x.shape[0]):
-            key = self.x[i].tobytes()
-            j = seen.get(key)
-            if j is None:
-                seen[key] = i
-            elif not np.array_equal(self.y[i], self.y[j]):
-                raise DataError(
-                    f"rows {j} and {i} share the same x but have different y; "
-                    "no deterministic map exists for such data"
-                )
+        """Raise on the first row i (in row order) whose x bytes equal those of
+        an earlier row j, the first with those bytes, while y differs.
+
+        Sorting the x rows as raw bytes puts equal rows next to each other;
+        the smallest row index of each run of equal rows is its j.
+        """
+        n, d = self.x.shape
+        if d == 0:  # no features: all x rows are equal
+            rows = np.zeros(n, dtype=np.uint8)
+        else:
+            rows = self.x.view(np.dtype((np.void, self.x.itemsize * d))).reshape(n)
+        order = np.argsort(rows)
+        ranked = rows[order]
+        same = ranked[1:] == ranked[:-1]
+        if not same.any():
+            return
+        starts = np.flatnonzero(np.concatenate([[True], ~same]))
+        first = np.repeat(np.minimum.reduceat(order, starts), np.diff(np.append(starts, n)))
+        conflict = np.flatnonzero((self.y[order] != self.y[first]).any(axis=1))
+        if conflict.size:
+            at = conflict[np.argmin(order[conflict])]
+            raise DataError(
+                f"rows {first[at]} and {order[at]} share the same x but have different y; "
+                "no deterministic map exists for such data"
+            )
 
     @property
     def n(self) -> int:

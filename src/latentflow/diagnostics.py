@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 _REL_GAP_TOL = 1e-2  # regression predictions closer than this count as agreeing
+_KNN_BLOCK_BYTES = 16 * 2**20  # working-set bound of one knn_probe distance block
 
 
 def disagreement(model, ds: PairedDataset,
@@ -104,20 +105,28 @@ def knn_probe(ref_emb: np.ndarray, ref_labels: np.ndarray, query_emb: np.ndarray
     query_labels = np.asarray(query_labels, dtype=int)
     k = min(k, ref_emb.shape[0])
 
-    diffs = query_emb[:, None, :] - ref_emb[None, :, :]
-    dist = np.linalg.norm(diffs, axis=2)
+    # Distances are computed for a block of query rows at a time, so the
+    # [rows, r, d] difference tensor stays near _KNN_BLOCK_BYTES whatever q is.
+    # Each distance depends only on its own (query, reference) pair, so the
+    # values do not depend on the block size.
+    per_row = ref_emb.shape[0] * max(ref_emb.shape[1], 1) * ref_emb.itemsize
+    block = max(1, _KNN_BLOCK_BYTES // per_row)
     correct = 0
-    for i in range(query_emb.shape[0]):
-        order = np.argsort(dist[i], kind="stable")[:k]
-        labels = ref_labels[order]
-        dists = dist[i][order]
-        candidates = {}
-        for lab, dd in zip(labels, dists):
-            cnt, tot = candidates.get(lab, (0, 0.0))
-            candidates[lab] = (cnt + 1, tot + dd)
-        best = min(candidates.items(), key=lambda kv: (-kv[1][0], kv[1][1], kv[0]))[0]
-        if best == query_labels[i]:
-            correct += 1
+    for start in range(0, query_emb.shape[0], block):
+        diffs = query_emb[start: start + block, None, :] - ref_emb[None, :, :]
+        dist = np.linalg.norm(diffs, axis=2)
+        del diffs
+        nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        for i, order in enumerate(nearest, start=start):
+            labels = ref_labels[order]
+            dists = dist[i - start][order]
+            candidates = {}
+            for lab, dd in zip(labels, dists):
+                cnt, tot = candidates.get(lab, (0, 0.0))
+                candidates[lab] = (cnt + 1, tot + dd)
+            best = min(candidates.items(), key=lambda kv: (-kv[1][0], kv[1][1], kv[0]))[0]
+            if best == query_labels[i]:
+                correct += 1
     return correct / query_emb.shape[0]
 
 

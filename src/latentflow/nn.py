@@ -10,17 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import (
-    GradientMap,
-    ShapeMismatch,
-    Tensor,
-    add,
-    concat_cols,
-    matmul,
-    relu,
-    tanh,
-    transpose,
-)
+from .tensor import GradientMap, ShapeMismatch, Tensor, linear, relu, tanh
 
 __all__ = [
     "LinearLayer",
@@ -41,7 +31,11 @@ class OptimizerError(RuntimeError):
 
 
 class LinearLayer:
-    """Affine map x -> x @ W.T + b with W of shape [out, in] and b of shape [out]."""
+    """Affine map x -> x @ W.T + b with W of shape [out, in] and b of shape [out].
+
+    In a time-conditioned MLP the last column of W is the time weight (see
+    `latentflow.tensor.linear`); ``n_in`` counts that column.
+    """
 
     def __init__(self, weight: Tensor, bias: Tensor):
         if weight.ndim != 2 or bias.ndim != 1 or bias.shape[0] != weight.shape[0]:
@@ -68,15 +62,16 @@ class LinearLayer:
     def n_out(self) -> int:
         return self.weight.shape[0]
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return add(matmul(x, transpose(self.weight)), self.bias)
+    def __call__(self, x: Tensor, t=None) -> Tensor:
+        return linear(x, self.weight, self.bias, t)
 
 
 class Mlp:
     """Affine-activation chain; no activation after the final layer.
 
-    When ``time_conditioned`` is set, the time variable is concatenated to the
-    input of every layer, so each layer's input width includes one extra slot.
+    When ``time_conditioned`` is set, the time variable is an extra input of
+    every layer, held in the last column of its weight, so each layer's input
+    width includes one extra slot.
     ``calls`` counts forward invocations (one per batched evaluation), which
     is how dynamics-function evaluations are accounted.
     """
@@ -130,17 +125,13 @@ class Mlp:
         h = x if isinstance(x, Tensor) else Tensor(x)
         if h.ndim != 2:
             raise ShapeMismatch("mlp input", h.shape)
+        if h.shape[1] != self.d_in:
+            raise ShapeMismatch("mlp layer 0", h.shape, self.layers[0].weight.shape)
         self.calls += 1
-        n = h.shape[0]
-        t_col = _time_column(t, n) if self.time_conditioned else None
         act = _ACTIVATIONS[self.activation]
         last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
-            if t_col is not None:
-                h = concat_cols([h, t_col])
-            if h.shape[1] != layer.n_in:
-                raise ShapeMismatch(f"mlp layer {i}", h.shape, layer.weight.shape)
-            h = layer(h)
+            h = linear(h, layer.weight, layer.bias, t)
             if i < last:
                 h = act(h)
         return h
@@ -161,58 +152,80 @@ class Mlp:
         return sum(p.data.size for p in self.parameters())
 
 
-def _time_column(t, n: int) -> Tensor:
-    """Constant [n, 1] column from a shared scalar t or a per-sample vector."""
-    arr = np.asarray(t, dtype=np.float64)
-    if arr.ndim == 0:
-        col = np.full((n, 1), float(arr))
-    elif arr.ndim == 1 and arr.shape[0] == n:
-        col = arr[:, None]
-    else:
-        raise ShapeMismatch("time column", arr.shape, (n,))
-    return Tensor(col)
-
-
 @dataclass
 class AdamState:
-    """Per-parameter first/second moments plus the shared step counter."""
+    """First/second moments of all parameters in two flat buffers, plus the step counter.
 
-    m: dict[int, np.ndarray]
-    v: dict[int, np.ndarray]
+    ``ids`` gives the parameter order in the flat buffers. After the first
+    step the parameters' ``data`` are views into one flat value buffer,
+    ``values``, which each step updates in place; a parameter whose ``data``
+    was rebound since (checkpoint load, snapshot restore) makes the next step
+    gather the values again.
+    """
+
+    m: np.ndarray
+    v: np.ndarray
+    ids: tuple[int, ...]
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    values: np.ndarray | None = None
 
     @classmethod
     def for_params(cls, params: Sequence[Tensor], beta1: float = 0.9,
                    beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
+        size = sum(p.data.size for p in params)
         return cls(
-            m={p.id: np.zeros_like(p.data) for p in params},
-            v={p.id: np.zeros_like(p.data) for p in params},
+            m=np.zeros(size),
+            v=np.zeros(size),
+            ids=tuple(p.id for p in params),
             beta1=beta1,
             beta2=beta2,
             eps=eps,
         )
 
 
+def _flat_values(params: Sequence[Tensor], state: AdamState) -> np.ndarray:
+    """The flat parameter buffer, re-gathered if any ``data`` no longer views it."""
+    values = state.values
+    if values is None or any(p.data.base is not values for p in params):
+        values = np.concatenate([p.data.reshape(-1) for p in params])
+        offset = 0
+        for p in params:
+            p.data = values[offset: offset + p.data.size].reshape(p.shape)
+            offset += p.data.size
+        state.values = values
+    return values
+
+
 def adam_step(params: Sequence[Tensor], grads: GradientMap, state: AdamState,
               lr: float) -> None:
-    """One bias-corrected Adam update, applied to the parameter tensors in place."""
+    """One bias-corrected Adam update of all parameters as one flat vector.
+
+    The update is elementwise, so it is the per-parameter update applied to
+    the concatenated parameters. Nothing is changed when a gradient is NaN.
+    """
     missing = [p for p in params if p.id not in grads]
     if missing:
         names = ", ".join(str(p.name or p.id) for p in missing)
         raise OptimizerError(f"gradients missing for parameters: {names}")
+    if tuple(p.id for p in params) != state.ids:
+        raise OptimizerError("parameters differ from those the optimizer state was made for")
+    g = np.concatenate([grads[p.id].data.reshape(-1) for p in params])
+    if np.isnan(g).any():
+        bad = next(p for p in params if np.isnan(grads[p.id].data).any())
+        raise OptimizerError(f"NaN gradient for parameter {bad.name or bad.id}")
     state.step += 1
     bc1 = 1.0 - state.beta1 ** state.step
     bc2 = 1.0 - state.beta2 ** state.step
-    for p in params:
-        g = grads[p.id].data
-        if np.isnan(g).any():
-            raise OptimizerError(f"NaN gradient for parameter {p.name or p.id}")
-        m = state.m[p.id] = state.beta1 * state.m[p.id] + (1.0 - state.beta1) * g
-        v = state.v[p.id] = state.beta2 * state.v[p.id] + (1.0 - state.beta2) * (g * g)
-        p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * (g * g)
+    values = _flat_values(params, state)
+    values -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
 
 
 def cosine_lr(step: int, total: int, base: float) -> float:

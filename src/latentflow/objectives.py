@@ -64,6 +64,13 @@ def flow_loss(model, x, y, times) -> Tensor:
     function and both encoders (through the interpolated state and through
     the target itself).
     """
+    x, y, times = _flow_batch(x, y, times)
+    z0 = model.encode_data(x)
+    z1 = model.encode_label(y)
+    return _flow_from_embeddings(model, z0, z1, times)
+
+
+def _flow_batch(x, y, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)
@@ -71,8 +78,10 @@ def flow_loss(model, x, y, times) -> Tensor:
         raise ValueError("flow_loss needs a nonempty batch")
     if times.shape != (x.shape[0],):
         raise ValueError(f"times must have shape ({x.shape[0]},), got {times.shape}")
-    z0 = model.encode_data(x)
-    z1 = model.encode_label(y)
+    return x, y, times
+
+
+def _flow_from_embeddings(model, z0: Tensor, z1: Tensor, times: np.ndarray) -> Tensor:
     if z0.shape != z1.shape:
         raise ShapeMismatch("encoder outputs", z0.shape, z1.shape)
     z_t = interpolate(model.schedule, z0, z1, times)
@@ -89,10 +98,18 @@ def label_ae_loss(model, y, sigma: float, rng: np.random.Generator,
     label embedding before decoding; the noise lives only inside this loss.
     Pass ``noise`` explicitly to pin the draw (gradient checks).
     """
+    _check_sigma(sigma)
+    y = np.asarray(y, dtype=np.float64)
+    return _label_ae_from_embedding(model, y, model.encode_label(y), sigma, rng, noise)
+
+
+def _check_sigma(sigma: float) -> None:
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    y = np.asarray(y, dtype=np.float64)
-    z1 = model.encode_label(y)
+
+
+def _label_ae_from_embedding(model, y: np.ndarray, z1: Tensor, sigma: float,
+                             rng: np.random.Generator, noise: np.ndarray | None) -> Tensor:
     h = z1
     if noise is None and sigma > 0:
         noise = sigma * rng.standard_normal(z1.shape)
@@ -106,11 +123,18 @@ def total_loss(model, x, y, sampler: TimeSampler, sigma: float,
                rng: np.random.Generator) -> tuple[Tensor, LossBreakdown]:
     """Flow loss plus label autoencoding loss on the same batch (unit weights).
 
+    The label embedding g(y) is computed once and shared by both terms: the
+    loss values equal those of `flow_loss` and `label_ae_loss`, and the
+    gradients equal theirs up to the order of floating-point sums.
     RNG stream order: per-sample times are drawn from ``sampler`` first, then
     the embedding noise from ``rng``.
     """
     times = sampler.sample(np.asarray(x).shape[0])
-    lf = flow_loss(model, x, y, times)
-    lae = label_ae_loss(model, y, sigma, rng)
+    x, y, times = _flow_batch(x, y, times)
+    _check_sigma(sigma)
+    z0 = model.encode_data(x)
+    z1 = model.encode_label(y)
+    lf = _flow_from_embeddings(model, z0, z1, times)
+    lae = _label_ae_from_embedding(model, y, z1, sigma, rng, None)
     lt = add(lf, lae)
     return lt, LossBreakdown(lf.item(), lae.item(), lt.item())

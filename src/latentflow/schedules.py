@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tensor import ShapeMismatch, Tensor, add, mul, scale
+from .tensor import Tensor, combine
 
 __all__ = ["Schedule", "SCHEDULES", "get_schedule", "interpolate", "target_velocity"]
 
@@ -90,32 +90,10 @@ def _combine(z0, z1, c0, c1):
 
     c0/c1 are scalars or per-sample vectors matching the batch axis; they are
     constants (no gradient flows into the coefficients, only into z0/z1).
+    Tensor endpoints give a Tensor on the tape, array endpoints an array.
     """
-    on_tape = isinstance(z0, Tensor) or isinstance(z1, Tensor)
-    z0_arr = z0.data if isinstance(z0, Tensor) else np.asarray(z0, dtype=np.float64)
-    z1_arr = z1.data if isinstance(z1, Tensor) else np.asarray(z1, dtype=np.float64)
-    if z0_arr.shape != z1_arr.shape:
-        raise ShapeMismatch("interpolate", z0_arr.shape, z1_arr.shape)
-
-    if np.ndim(c0) == 0:
-        if not on_tape:
-            return float(c0) * z0_arr + float(c1) * z1_arr
-        t0 = z0 if isinstance(z0, Tensor) else Tensor(z0_arr)
-        t1 = z1 if isinstance(z1, Tensor) else Tensor(z1_arr)
-        return add(scale(t0, float(c0)), scale(t1, float(c1)))
-
-    c0 = np.asarray(c0, dtype=np.float64)
-    c1 = np.asarray(c1, dtype=np.float64)
-    if z0_arr.ndim != 2 or c0.shape != (z0_arr.shape[0],):
-        raise ShapeMismatch("interpolate per-sample t", z0_arr.shape, c0.shape)
-    if not on_tape:
-        return c0[:, None] * z0_arr + c1[:, None] * z1_arr
-    d = z0_arr.shape[1]
-    m0 = Tensor(np.repeat(c0[:, None], d, axis=1))
-    m1 = Tensor(np.repeat(c1[:, None], d, axis=1))
-    t0 = z0 if isinstance(z0, Tensor) else Tensor(z0_arr)
-    t1 = z1 if isinstance(z1, Tensor) else Tensor(z1_arr)
-    return add(mul(t0, m0), mul(t1, m1))
+    out = combine(z0, z1, c0, c1)
+    return out if isinstance(z0, Tensor) or isinstance(z1, Tensor) else out.data
 
 
 def interpolate(schedule: Schedule, z0, z1, t):

@@ -114,9 +114,12 @@ def _rms(v: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.square(v))))
 
 
+_NONFINITE = "NaN or infinite state encountered during integration"
+
+
 def _check_state(z: np.ndarray) -> None:
-    if np.isnan(z).any():
-        raise SolverError("NaN state encountered during integration")
+    if not np.isfinite(z).all():
+        raise SolverError(_NONFINITE)
 
 
 def solve(f: Callable[[np.ndarray, float], np.ndarray], z0, t0: float, t1: float,
@@ -200,8 +203,8 @@ def _dopri5(f, z, t0, t1, rtol, atol, record_stride):
         err_vec = h * sum(e * k[j] for j, e in enumerate(_DP_ERR) if e != 0.0)
         sc = atol + rtol * np.maximum(np.abs(z), np.abs(z_new))
         err = _rms(err_vec / sc)
-        if np.isnan(z_new).any() or np.isnan(err):
-            raise SolverError("NaN state encountered during integration")
+        if not (np.isfinite(err) and np.isfinite(z_new).all()):
+            raise SolverError(_NONFINITE)
 
         if err <= 1.0:
             t_new = t1 if h >= (t1 - t) else t + h

@@ -1,12 +1,15 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
-The primitive set is intentionally small: matrix products, (bias-)addition,
-elementwise products, scalar scaling, tanh/relu, feature-axis concatenation,
-and the reductions needed for squared-error objectives. Each primitive returns
-a fresh Tensor; when tracking is enabled and an operand requires gradients,
-the output records its parents and a backward closure. Node ids grow
-monotonically, so iterating reachable nodes in decreasing id order is a valid
-reverse topological order for backpropagation.
+The primitive set is intentionally small: the fused affine layer ``linear``
+(whose weight's last column is the time weight of time-conditioned layers),
+the constant-coefficient combination ``combine`` used by the interpolants,
+matrix products, (bias-)addition, subtraction, elementwise products, scalar
+scaling, tanh/relu, and the reductions needed for squared-error objectives.
+Each primitive returns a fresh Tensor; when tracking is enabled and an
+operand requires gradients, the output records its parents and a backward
+closure. Node ids grow monotonically, so iterating reachable nodes in
+decreasing id order is a valid reverse topological order for
+backpropagation.
 """
 
 from __future__ import annotations
@@ -23,15 +26,15 @@ __all__ = [
     "AutodiffError",
     "no_grad",
     "as_tensor",
+    "linear",
+    "combine",
     "matmul",
-    "transpose",
     "add",
     "sub",
     "mul",
     "scale",
     "tanh",
     "relu",
-    "concat_cols",
     "mean_all",
     "sum_all",
     "sq_diff_rowsum",
@@ -75,8 +78,10 @@ class Tensor:
     """Contiguous row-major float64 array, optionally recorded on the tape.
 
     Tensors are values: no primitive mutates its inputs. The only sanctioned
-    mutation is rebinding ``data`` of parameter leaves (optimizer updates)
-    and the temporary in-place perturbation done by `grad_check`.
+    mutations are optimizer updates of parameter leaves (rebinding ``data``,
+    or updating in place the flat buffer that `adam_step` makes their
+    ``data`` view into) and the temporary in-place perturbation done by
+    `grad_check`.
     """
 
     # tape nodes are allocated per-op in hot training loops
@@ -144,11 +149,92 @@ def as_tensor(value) -> Tensor:
 def _result(data: np.ndarray, op: str, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(data)
     out.op = op
-    if _TRACKING[0] and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward_fn
+    if _TRACKING[0]:
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = parents
+                out._backward = backward_fn
+                break
     return out
+
+
+def linear(x, W, b, t=None) -> Tensor:
+    """Affine layer x @ W.T + b with W of shape [out, in] and b of shape [out].
+
+    With a time input ``t`` the layer is time-conditioned: W has shape
+    [out, in + 1] and its last column is the time weight, so the output is
+    that of the layer applied to [x, t]. A scalar ``t`` folds into the bias as
+    b + t * W[:, -1]; a per-row vector of shape [n] adds the rank-1 term
+    t ⊗ W[:, -1]. ``t`` is a constant: no gradient flows into it.
+    """
+    x, W, b = as_tensor(x), as_tensor(W), as_tensor(b)
+    xd, Wd, bd = x.data, W.data, b.data
+    timed = t is not None
+    if (xd.ndim != 2 or Wd.ndim != 2 or bd.shape != (Wd.shape[0],)
+            or xd.shape[1] + timed != Wd.shape[1]):
+        raise ShapeMismatch("linear", xd.shape, Wd.shape, bd.shape)
+    w_x = Wd[:, :-1] if timed else Wd
+    out = xd @ w_x.T
+    if not timed:
+        out += bd
+    elif np.ndim(t) == 0:
+        t = float(t)
+        out += bd + t * Wd[:, -1]
+    else:
+        t = np.asarray(t, dtype=np.float64)
+        if t.shape != (xd.shape[0],):
+            raise ShapeMismatch("linear time", t.shape, (xd.shape[0],))
+        out += bd
+        out += t[:, None] * Wd[:, -1]
+
+    def backward_fn(g: np.ndarray):
+        grads = []
+        if x.requires_grad:
+            grads.append((x, g @ w_x))
+        gb = g.sum(axis=0) if (b.requires_grad or timed) else None
+        if W.requires_grad:
+            if timed:
+                gW = np.empty(Wd.shape)
+                np.matmul(g.T, xd, out=gW[:, :-1])
+                gW[:, -1] = t * gb if isinstance(t, float) else g.T @ t
+            else:
+                gW = g.T @ xd
+            grads.append((W, gW))
+        if b.requires_grad:
+            grads.append((b, gb))
+        return grads
+
+    return _result(out, "linear", (x, W, b), backward_fn)
+
+
+def combine(a, b, ca, cb) -> Tensor:
+    """ca * a + cb * b with constant coefficients.
+
+    ``ca``/``cb`` are scalars, or per-row vectors of shape [n] that scale
+    each row of the [n, d] operands. Gradients flow into a and b only.
+    """
+    a, b = as_tensor(a), as_tensor(b)
+    if a.shape != b.shape:
+        raise ShapeMismatch("combine", a.shape, b.shape)
+    if np.ndim(ca) == 0 and np.ndim(cb) == 0:
+        ca, cb = float(ca), float(cb)
+    else:
+        ca = np.asarray(ca, dtype=np.float64)
+        cb = np.asarray(cb, dtype=np.float64)
+        if a.ndim != 2 or ca.shape != (a.shape[0],) or cb.shape != ca.shape:
+            raise ShapeMismatch("combine per-row coefficients", a.shape, ca.shape, cb.shape)
+        ca, cb = ca[:, None], cb[:, None]
+
+    def backward_fn(g: np.ndarray):
+        grads = []
+        if a.requires_grad:
+            grads.append((a, ca * g))
+        if b.requires_grad:
+            grads.append((b, cb * g))
+        return grads
+
+    return _result(ca * a.data + cb * b.data, "combine", (a, b), backward_fn)
 
 
 def matmul(a, b) -> Tensor:
@@ -165,17 +251,6 @@ def matmul(a, b) -> Tensor:
         return out
 
     return _result(a.data @ b.data, "matmul", (a, b), backward_fn)
-
-
-def transpose(a) -> Tensor:
-    a = as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeMismatch("transpose", a.shape)
-
-    def backward_fn(g: np.ndarray):
-        return [(a, g.T)] if a.requires_grad else []
-
-    return _result(a.data.T, "transpose", (a,), backward_fn)
 
 
 def add(a, b) -> Tensor:
@@ -268,27 +343,6 @@ def relu(a) -> Tensor:
     return _result(np.where(mask, a.data, 0.0), "relu", (a,), backward_fn)
 
 
-def concat_cols(parts: Sequence) -> Tensor:
-    """Concatenate matrices along the feature axis (axis 1)."""
-    ts = [as_tensor(p) for p in parts]
-    if not ts:
-        raise ShapeMismatch("concat_cols")
-    rows = ts[0].shape[0] if ts[0].ndim == 2 else None
-    if rows is None or any(t.ndim != 2 or t.shape[0] != rows for t in ts):
-        raise ShapeMismatch("concat_cols", *(t.shape for t in ts))
-    widths = [t.shape[1] for t in ts]
-    offsets = np.concatenate([[0], np.cumsum(widths)])
-
-    def backward_fn(g: np.ndarray):
-        return [
-            (t, g[:, offsets[i] : offsets[i + 1]])
-            for i, t in enumerate(ts)
-            if t.requires_grad
-        ]
-
-    return _result(np.concatenate([t.data for t in ts], axis=1), "concat_cols", tuple(ts), backward_fn)
-
-
 def mean_all(a) -> Tensor:
     a = as_tensor(a)
     n = a.data.size
@@ -333,6 +387,10 @@ def backward(loss: Tensor, params: Sequence[Tensor]) -> GradientMap:
     Parameters not reachable from the loss get zero gradients. The returned
     map is keyed by tensor id; every requested parameter appears exactly once
     with a gradient of identical shape.
+
+    NaN is looked for once per leaf gradient, after the sweep. Only when one
+    is found is the sweep replayed with a check after every primitive's
+    backward, so that the error names the primitive that produced the NaN.
     """
     if loss.data.size != 1:
         raise AutodiffError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -344,24 +402,41 @@ def backward(loss: Tensor, params: Sequence[Tensor]) -> GradientMap:
         if t.id not in nodes:
             nodes[t.id] = t
             stack.extend(t._parents)
+    order = sorted(nodes.values(), key=lambda n: n.id, reverse=True)
 
+    grads = _sweep(loss, order, checked=False)
+    for t in order:
+        if t._backward is None:
+            g = grads.get(t.id)
+            if g is not None and np.isnan(g).any():
+                _sweep(loss, order, checked=True)
+                raise AutodiffError(f"NaN gradient for leaf {t.name or t.id}")
+
+    return {
+        p.id: Tensor(grads[p.id]) if p.id in grads else Tensor(np.zeros_like(p.data))
+        for p in params
+    }
+
+
+def _sweep(loss: Tensor, order: list[Tensor], checked: bool) -> dict[int, np.ndarray]:
+    """Accumulate gradients over nodes in reverse topological order.
+
+    With ``checked`` set, raise on the first NaN that a primitive's backward
+    produces, naming that primitive.
+    """
     grads: dict[int, np.ndarray] = {loss.id: np.ones_like(loss.data)}
-    for t in sorted(nodes.values(), key=lambda n: n.id, reverse=True):
+    for t in order:
         if t._backward is None:
             continue
         g = grads.get(t.id)
         if g is None:
             continue
         for parent, contrib in t._backward(g):
-            if np.isnan(contrib).any():
+            if checked and np.isnan(contrib).any():
                 raise AutodiffError(f"NaN produced in backward of {t.op!r}")
             acc = grads.get(parent.id)
             grads[parent.id] = contrib if acc is None else acc + contrib
-
-    return {
-        p.id: Tensor(grads[p.id]) if p.id in grads else Tensor(np.zeros_like(p.data))
-        for p in params
-    }
+    return grads
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> float:

@@ -171,6 +171,40 @@ def test_duplicate_x_with_same_y_allowed():
     assert ds.n == 2
 
 
+def _first_conflict_by_loop(x, y):
+    """Reference: the row-by-row scan, keyed by the bytes of each x row."""
+    seen = {}
+    for i in range(x.shape[0]):
+        key = x[i].tobytes()
+        j = seen.get(key)
+        if j is None:
+            seen[key] = i
+        elif not np.array_equal(y[i], y[j]):
+            return j, i
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=20),
+    d_x=st.integers(min_value=1, max_value=3),
+    d_y=st.integers(min_value=1, max_value=2),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_duplicate_check_matches_row_loop(n, d_x, d_y, seed):
+    # few distinct values, including -0.0 next to 0.0 (equal values, different bytes)
+    rng = np.random.default_rng(seed)
+    x = rng.choice([0.0, -0.0, 1.5], size=(n, d_x))
+    y = rng.choice([0.0, -0.0, 2.0], size=(n, d_y))
+    expected = _first_conflict_by_loop(x, y)
+    if expected is None:
+        assert PairedDataset(x, y, TaskKind.regression()).n == n
+    else:
+        with pytest.raises(DataError) as err:
+            PairedDataset(x, y, TaskKind.regression())
+        assert str(err.value).startswith(f"rows {expected[0]} and {expected[1]} share the same x")
+
+
 def test_dataset_rejects_nonfinite():
     with pytest.raises(DataError, match="non-finite"):
         PairedDataset(np.array([[np.nan]]), np.array([[1.0]]), TaskKind.regression())

@@ -1,11 +1,14 @@
 import csv
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import latentflow as lf
 from latentflow.data import PairedDataset, TaskKind
+import latentflow.diagnostics as diagnostics
 from latentflow.diagnostics import (
     build_report,
     disagreement,
@@ -144,6 +147,45 @@ def test_knn_tie_breaks_by_distance_sum_then_label():
     assert acc == 1.0  # label 2 < label 7 at equal counts and sums
     closer = knn_probe(ref, labels, np.array([[0.6, 0.0]]), np.array([2]), k=2)
     assert closer == 1.0  # label 2 is strictly closer
+
+
+def _knn_predictions_unchunked(ref_emb, ref_labels, query_emb, k):
+    """Reference: the whole [q, r, d] difference tensor at once, one query at a time."""
+    k = min(k, ref_emb.shape[0])
+    dist = np.linalg.norm(query_emb[:, None, :] - ref_emb[None, :, :], axis=2)
+    preds = []
+    for i in range(query_emb.shape[0]):
+        order = np.argsort(dist[i], kind="stable")[:k]
+        candidates = {}
+        for lab, dd in zip(ref_labels[order], dist[i][order]):
+            cnt, tot = candidates.get(lab, (0, 0.0))
+            candidates[lab] = (cnt + 1, tot + dd)
+        preds.append(min(candidates.items(), key=lambda kv: (-kv[1][0], kv[1][1], kv[0]))[0])
+    return np.array(preds)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_ref=st.integers(min_value=1, max_value=12),
+    n_query=st.integers(min_value=1, max_value=12),
+    d=st.integers(min_value=1, max_value=3),
+    k=st.integers(min_value=1, max_value=5),
+    block_rows=st.integers(min_value=1, max_value=13),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_knn_blocked_matches_unchunked_reference(n_ref, n_query, d, k, block_rows, seed):
+    # coordinates on a coarse integer grid and few labels, so equal distances
+    # and vote ties are common
+    rng = np.random.default_rng(seed)
+    ref = rng.integers(-2, 3, size=(n_ref, d)).astype(float)
+    qry = rng.integers(-2, 3, size=(n_query, d)).astype(float)
+    labels = rng.integers(0, 3, size=n_ref)
+    expected = _knn_predictions_unchunked(ref, labels, qry, k)
+    block_bytes = block_rows * n_ref * d * 8
+    with mock.patch.object(diagnostics, "_KNN_BLOCK_BYTES", block_bytes):
+        assert knn_probe(ref, labels, qry, expected, k) == 1.0
+        wrong = (expected + 1) % 3
+        assert knn_probe(ref, labels, qry, wrong, k) == 0.0
 
 
 def test_knn_rejects_bad_inputs():

@@ -118,6 +118,56 @@ def test_adam_nan_gradient_names_parameter():
         adam_step([p], {p.id: Tensor(np.array([np.nan]))}, state, lr=0.1)
 
 
+def _adam_reference(values, grads_per_step, lrs, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Reference: per-parameter moments and updates, one array at a time."""
+    values = [v.copy() for v in values]
+    m = [np.zeros_like(v) for v in values]
+    v2 = [np.zeros_like(v) for v in values]
+    for step, (grads, lr) in enumerate(zip(grads_per_step, lrs), start=1):
+        bc1 = 1.0 - beta1 ** step
+        bc2 = 1.0 - beta2 ** step
+        for i, g in enumerate(grads):
+            m[i] = beta1 * m[i] + (1.0 - beta1) * g
+            v2[i] = beta2 * v2[i] + (1.0 - beta2) * (g * g)
+            values[i] = values[i] - lr * (m[i] / bc1) / (np.sqrt(v2[i] / bc2) + eps)
+    return values
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shapes=st.lists(
+        st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=2).map(tuple),
+        min_size=1, max_size=5),
+    steps=st.integers(min_value=1, max_value=6),
+    rebind_at=st.integers(min_value=0, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_flat_adam_bit_identical_to_per_parameter_reference(shapes, steps, rebind_at, seed):
+    rng = np.random.default_rng(seed)
+    start = [rng.standard_normal(shape) for shape in shapes]
+    grads_per_step = [[rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 3) for shape in shapes]
+                      for _ in range(steps)]
+    lrs = list(rng.uniform(1e-4, 1e-1, size=steps))
+    params = [Tensor(v, requires_grad=True, name=f"p{i}") for i, v in enumerate(start)]
+    state = AdamState.for_params(params)
+    for step, (grads, lr) in enumerate(zip(grads_per_step, lrs)):
+        if step == rebind_at:  # as a checkpoint load or snapshot restore does
+            params[0].data = params[0].data.copy()
+        adam_step(params, {p.id: Tensor(g) for p, g in zip(params, grads)}, state, lr)
+    for p, ref in zip(params, _adam_reference(start, grads_per_step, lrs)):
+        assert p.data.shape == ref.shape
+        assert np.array_equal(p.data, ref)
+
+
+def test_adam_nan_gradient_changes_nothing():
+    p = Tensor(np.array([1.0, 2.0]), requires_grad=True, name="a")
+    q = Tensor(np.array([3.0]), requires_grad=True, name="b")
+    state = AdamState.for_params([p, q])
+    with pytest.raises(OptimizerError, match="NaN gradient for parameter b"):
+        adam_step([p, q], {p.id: Tensor([0.5, 0.5]), q.id: Tensor([np.nan])}, state, lr=0.1)
+    assert np.array_equal(p.data, [1.0, 2.0]) and state.step == 0
+
+
 def test_adam_missing_gradient_rejected():
     p = Tensor(np.array([1.0]), requires_grad=True, name="p")
     state = AdamState.for_params([p])

@@ -184,6 +184,38 @@ def test_total_is_bitwise_sum_of_components():
     assert lt.item() == bd.total
 
 
+def test_toy_step_encodes_labels_once_on_a_small_tape():
+    ds = lf.toy_crossing()
+    spec = lf.ModelSpec(d_x=2, d_y=2, task=ds.task, enc_hidden=32)
+    model = lf.build_model(spec, seed=0)
+    params = model.parameters()
+    calls = (model.label_encoder.calls, model.dynamics.calls)
+    first_id = Tensor(0.0).id
+    loss, _ = total_loss(model, ds.x, ds.y, TimeSampler(0.1, seed=0), 0.1,
+                         np.random.default_rng(0))
+    backward(loss, params)
+    tape_ids = Tensor(0.0).id - first_id - 1
+    assert model.label_encoder.calls - calls[0] == 1
+    assert model.dynamics.calls - calls[1] == 1
+    assert tape_ids <= 40
+
+
+def test_shared_label_embedding_gives_separate_terms_gradients():
+    # g(y) feeds both terms once; gradients equal those of the two losses built apart
+    model = make_small_model(seed=4)
+    ds = lf.toy_crossing()
+    params = model.parameters()
+    lt, _ = total_loss(model, ds.x, ds.y, TimeSampler(0.1, seed=3), 0.2,
+                       np.random.default_rng(5))
+    shared = backward(lt, params)
+    times = TimeSampler(0.1, seed=3).sample(ds.n)
+    apart = flow_loss(model, ds.x, ds.y, times) + label_ae_loss(
+        model, ds.y, 0.2, np.random.default_rng(5))
+    separate = backward(apart, params)
+    for p in params:
+        assert np.allclose(shared[p.id].data, separate[p.id].data, rtol=1e-12, atol=1e-14)
+
+
 def test_flow_component_independent_of_sigma():
     model = make_small_model(seed=6)
     ds = lf.toy_crossing()

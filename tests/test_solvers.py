@@ -100,6 +100,13 @@ def test_nan_state_raises():
         solve(field, np.array([1.0]), 0.0, 1.0, SolverSpec.dopri5(1e-6, 1e-6))
 
 
+@pytest.mark.parametrize("spec", ["euler:2", "rk4:1", "dopri5"])
+def test_overflowing_state_raises(spec):
+    # the state overflows to inf within the first step or two; it must not be returned
+    with pytest.raises(SolverError, match="infinite"):
+        solve(lambda z, t: z * 1e308, np.ones((1, 2)), 0.0, 1.0, SolverSpec.parse(spec))
+
+
 def test_trajectory_recording_stride():
     res = solve(lambda z, t: -z, np.array([1.0]), 0.0, 1.0, SolverSpec.euler(10),
                 record_stride=2)

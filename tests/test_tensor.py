@@ -9,8 +9,9 @@ from latentflow.tensor import (
     Tensor,
     add,
     backward,
-    concat_cols,
+    combine,
     grad_check,
+    linear,
     matmul,
     mean_all,
     mul,
@@ -21,7 +22,6 @@ from latentflow.tensor import (
     sub,
     sum_all,
     tanh,
-    transpose,
 )
 
 
@@ -46,14 +46,6 @@ def test_square_gradient():
     loss = sum_all(mul(x, x))
     g = backward(loss, [x])[x.id]
     assert g.data[0] == 6.0
-
-
-def test_mean_of_concat_gradient():
-    x = Tensor([[2.0]], requires_grad=True)
-    c = Tensor([[5.0]])
-    loss = mean_all(concat_cols([x, c]))
-    g = backward(loss, [x])[x.id]
-    assert g.data[0, 0] == 0.5
 
 
 def test_unreachable_param_gets_zero_gradient():
@@ -122,18 +114,37 @@ def test_grad_check_constant_function():
 
 def _primitive_losses(x: Tensor):
     """Scalar losses exercising each primitive's backward."""
+    n, d = x.shape
     c = Tensor(np.linspace(-1.0, 1.0, x.data.size).reshape(x.shape))
-    w = Tensor(np.linspace(0.3, 1.2, x.shape[1] * 2).reshape(x.shape[1], 2))
+    w = Tensor(np.linspace(0.3, 1.2, d * 2).reshape(d, 2))
+    rows = np.linspace(0.1, 0.9, n)  # per-row times or coefficients
+    # layer weights reading v as the input: [out, d] plain, [out, d + 1] timed
+    w_in = np.linspace(-0.8, 0.9, 5 * (d + 1)).reshape(5, d + 1)
+    b_out = np.linspace(-0.2, 0.3, 5)
+    # a constant input for v read as the [n, d] weight, plus a time slot
+    x_in = np.linspace(-1.5, 1.0, 6 * d).reshape(6, d)
+    b_w = np.linspace(0.1, 0.4, n)
+
+    def squared(t):  # nonlinear readout, so the gradient depends on the point
+        return sum_all(mul(t, t))
+
     return {
         "matmul": lambda v: sum_all(matmul(v, w)),
-        "transpose": lambda v: sum_all(matmul(transpose(v), v)),
+        "linear": lambda v: squared(linear(v, w_in[:, :d], b_out)),
+        "linear_t_scalar": lambda v: squared(linear(v, w_in, b_out, 0.3)),
+        "linear_t_rows": lambda v: squared(linear(v, w_in, b_out, rows)),
+        "linear_weight": lambda v: squared(linear(x_in, v, b_w)),
+        "linear_weight_t_scalar": lambda v: squared(linear(x_in[:, : d - 1], v, b_w, 0.7)),
+        "linear_weight_t_rows": lambda v: squared(
+            linear(x_in[:, : d - 1], v, b_w, np.linspace(-1.0, 1.0, 6))),
+        "combine": lambda v: squared(combine(v, c, -0.4, 1.3)),
+        "combine_rows": lambda v: squared(combine(c, v, rows, rows[::-1] - 2.0)),
         "add": lambda v: sum_all(add(v, c)),
         "sub": lambda v: sum_all(sub(v, c)),
         "mul": lambda v: sum_all(mul(v, c)),
         "scale": lambda v: sum_all(scale(v, -1.7)),
         "tanh": lambda v: sum_all(tanh(v)),
         "relu": lambda v: sum_all(relu(v)),
-        "concat_cols": lambda v: mean_all(concat_cols([v, c])),
         "mean_all": mean_all,
         "sum_all": sum_all,
         "sq_diff_rowsum": lambda v: sum_all(sq_diff_rowsum(v, c)),
@@ -148,6 +159,35 @@ def test_every_primitive_backward_against_finite_differences(name):
     x.data[np.abs(x.data) < 1e-2] += 0.05
     f = _primitive_losses(x)[name]
     assert grad_check(f, x) < 1e-6
+
+
+@pytest.mark.parametrize("t", [None, 0.35, np.array([0.0, 0.5, 1.0])])
+def test_linear_bias_gradient_against_finite_differences(t):
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-1.0, 1.0, size=(3, 2))
+    W = rng.uniform(-1.0, 1.0, size=(4, 2 if t is None else 3))
+    b = Tensor(rng.uniform(-1.0, 1.0, size=4), requires_grad=True)
+    assert grad_check(lambda v: sum_all(tanh(linear(x, W, v, t))), b) < 1e-6
+
+
+@pytest.mark.parametrize("t", [0.35, np.array([0.0, 0.5, 1.0])])
+def test_linear_time_column_matches_concatenated_input(t):
+    # the last weight column is the time weight: the layer equals a plain
+    # affine map of [x, t], which is how checkpoints store time-conditioned layers
+    rng = np.random.default_rng(6)
+    x = rng.uniform(-1.0, 1.0, size=(3, 2))
+    W = rng.uniform(-1.0, 1.0, size=(4, 3))
+    b = rng.uniform(-1.0, 1.0, size=4)
+    t_col = np.broadcast_to(np.asarray(t, dtype=np.float64), (3,))[:, None]
+    expected = np.concatenate([x, t_col], axis=1) @ W.T + b
+    assert np.max(np.abs(linear(x, W, b, t).data - expected)) < 1e-12
+
+
+def test_linear_rejects_bad_time_shape():
+    with pytest.raises(ShapeMismatch, match="linear time"):
+        linear(np.zeros((3, 2)), np.zeros((4, 3)), np.zeros(4), np.zeros(2))
+    with pytest.raises(ShapeMismatch, match="linear"):
+        linear(np.zeros((3, 2)), np.zeros((4, 3)), np.zeros(4))
 
 
 def test_two_layer_mlp_gradients_match_finite_differences():
