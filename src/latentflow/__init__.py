@@ -8,10 +8,8 @@ the diagnostic metrics used to analyse trajectory straightness.
 from .data import PairedDataset, TaskKind, load_csv, one_hot, split, synth_regression, toy_crossing
 from .diagnostics import DiagnosticsReport, build_report, disagreement, knn_probe, nfe_sweep, velocity_cosine_profile
 from .model import (
-    DirectFlowModel,
     LatentFlowModel,
     ModelSpec,
-    NodeBaseline,
     TrainConfig,
     TrainLog,
     build_direct_fm,
@@ -19,11 +17,12 @@ from .model import (
     build_node_baseline,
     direct_fm_train,
     evaluate_metric,
+    fit,
     node_baseline_train,
     predict,
     train,
 )
-from .nn import AdamState, LinearLayer, Mlp, adam_step, cosine_lr
+from .nn import AdamState, ColumnMap, LinearLayer, Mlp, adam_step, cosine_lr
 from .objectives import LossBreakdown, TimeSampler, flow_loss, label_ae_loss, total_loss
 from .schedules import Schedule, get_schedule, interpolate, target_velocity
 from .solvers import SolveResult, SolverSpec, solve, solve_with_grad

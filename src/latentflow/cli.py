@@ -269,48 +269,31 @@ def run_comparison(cfg: RunConfig) -> dict:
         f"metric_euler{cfg.node_steps}": SolverSpec.euler(cfg.node_steps),
         "metric_dopri5": SolverSpec.dopri5(1e-3, 1e-3),
     }
+    tc = train_config_from(cfg)
+    node_tc = tc if cfg.node_lr <= 0 else dataclasses.replace(tc, lr=cfg.node_lr)
+    baseline = dict(hidden=cfg.dyn_hidden, depth=cfg.dyn_depth, seed=cfg.seed)
+    methods = (
+        ("latent_fm", build_model(model_spec_from(cfg, train_ds), cfg.seed),
+         lambda m: train(m, train_ds, tc)),
+        ("direct_fm", build_direct_fm(train_ds.d_x, train_ds.d_y, train_ds.task,
+                                      schedule=cfg.schedule, **baseline),
+         lambda m: direct_fm_train(m, train_ds, tc)),
+        (f"node_euler{cfg.node_steps}",
+         build_node_baseline(train_ds.d_x, train_ds.d_y, train_ds.task, **baseline),
+         lambda m: node_baseline_train(m, train_ds, cfg.node_steps, node_tc)),
+    )
     rows = []
-
-    def _metrics(m) -> dict:
-        out = {}
+    for method, model, trainer in methods:
+        t0 = time.perf_counter()
+        train_log = trainer(model)
+        row = {"method": method, "train_nfe_per_step": train_log.final_train_nfe_per_step,
+               "wall_clock_sec": time.perf_counter() - t0}
         for name, solver in specs.items():
             if is_cls:
-                out[name] = evaluate_metric(m, train_ds, solver)[0]
+                row[name] = evaluate_metric(model, train_ds, solver)[0]
             else:
-                pred, _ = m.predict_raw(train_ds.x, solver)
-                out[name] = mse(pred, train_ds.y)
-        return out
-
-    tc = train_config_from(cfg)
-
-    model = build_model(model_spec_from(cfg, train_ds), cfg.seed)
-    calls0, t0 = model.dynamics.calls, time.perf_counter()
-    train(model, train_ds, tc)
-    wall = time.perf_counter() - t0
-    nfe_per_step = (model.dynamics.calls - calls0) / max(cfg.iterations, 1)
-    rows.append({"method": "latent_fm", "train_nfe_per_step": nfe_per_step,
-                 "wall_clock_sec": wall, **_metrics(model)})
-
-    direct = build_direct_fm(train_ds.d_x, train_ds.d_y, train_ds.task,
-                             schedule=cfg.schedule, hidden=cfg.dyn_hidden,
-                             depth=cfg.dyn_depth, seed=cfg.seed)
-    calls0, t0 = direct.dynamics.calls, time.perf_counter()
-    direct_fm_train(direct, train_ds, tc)
-    wall = time.perf_counter() - t0
-    nfe_per_step = (direct.dynamics.calls - calls0) / max(cfg.iterations, 1)
-    rows.append({"method": "direct_fm", "train_nfe_per_step": nfe_per_step,
-                 "wall_clock_sec": wall, **_metrics(direct)})
-
-    node = build_node_baseline(train_ds.d_x, train_ds.d_y, train_ds.task,
-                               hidden=cfg.dyn_hidden, depth=cfg.dyn_depth, seed=cfg.seed)
-    node_tc = tc if cfg.node_lr <= 0 else dataclasses.replace(tc, lr=cfg.node_lr)
-    calls0, t0 = node.dynamics.calls, time.perf_counter()
-    node_baseline_train(node, train_ds, cfg.node_steps, node_tc)
-    wall = time.perf_counter() - t0
-    nfe_per_step = (node.dynamics.calls - calls0) / max(cfg.iterations, 1)
-    rows.append({"method": f"node_euler{cfg.node_steps}", "train_nfe_per_step": nfe_per_step,
-                 "wall_clock_sec": wall, **_metrics(node)})
-
+                row[name] = mse(model.predict_raw(train_ds.x, solver)[0], train_ds.y)
+        rows.append(row)
     return {"dataset": cfg.dataset, "metric_kind": "accuracy" if is_cls else "mse",
             "metric_columns": list(specs), "rows": rows}
 

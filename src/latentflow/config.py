@@ -13,9 +13,11 @@ rejected. Command-line flags override file values.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .schedules import SCHEDULES
 from .solvers import SolverSpec
 
 __all__ = ["ConfigError", "RunConfig", "parse_config_text", "load_config"]
@@ -58,6 +60,22 @@ class RunConfig:
     node_lr: float = 0.0  # 0 = reuse lr; the unrolled baseline often needs its own rate
 
     def validate(self) -> "RunConfig":
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+        for name in _AT_LEAST_ONE:
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in _AT_LEAST_ZERO:
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not self.lr > 0:
+            raise ConfigError(f"lr must be > 0, got {self.lr}")
+        if not 0.0 <= self.t_zero_prob <= 1.0:
+            raise ConfigError(f"t_zero_prob must be in [0, 1], got {self.t_zero_prob}")
+        if self.schedule not in SCHEDULES:
+            raise ConfigError(f"unknown schedule {self.schedule!r}; expected one of {sorted(SCHEDULES)}")
         if self.task not in ("regression", "classification"):
             raise ConfigError(f"unknown task {self.task!r}")
         if self.standardize not in ("auto", "on", "off"):
@@ -79,7 +97,7 @@ class RunConfig:
             return
         if spec.startswith("csv:"):
             path = Path(spec[4:])
-            if not path.is_file():
+            if not _is_file(path):
                 raise ConfigError(f"csv dataset file not found: {path}")
             if not self.x_cols.strip() or not self.y_cols.strip():
                 raise ConfigError("csv datasets need x_cols and y_cols")
@@ -89,9 +107,11 @@ class RunConfig:
             if len(parts) not in (2, 3):
                 raise ConfigError(f"synth spec needs n,d_x[,seed], got {spec!r}")
             try:
-                [int(p) for p in parts]
+                values = [int(p) for p in parts]
             except ValueError:
                 raise ConfigError(f"synth spec needs integers, got {spec!r}") from None
+            if values[0] < 2 or values[1] < 1 or min(values) < 0:
+                raise ConfigError(f"synth spec needs n >= 2, d_x >= 1 and seed >= 0, got {spec!r}")
             return
         raise ConfigError(f"unknown dataset spec {spec!r}")
 
@@ -100,6 +120,18 @@ class RunConfig:
 
 
 _FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+_AT_LEAST_ONE = ("enc_hidden", "enc_depth", "dyn_hidden", "dyn_depth", "batch_size",
+                 "eval_interval", "patience", "log_every", "node_steps")
+# node_lr = 0 and latent_dim = 0 select defaults; seeds must be >= 0 for numpy
+_AT_LEAST_ZERO = ("num_classes", "split_seed", "latent_dim", "iterations", "label_noise_std",
+                  "seed", "node_lr")
+
+
+def _is_file(path: Path) -> bool:
+    try:
+        return path.is_file()
+    except OSError:  # e.g. a name too long for the file system
+        return False
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
@@ -132,6 +164,6 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
 
 def load_config(path) -> RunConfig:
     path = Path(path)
-    if not path.is_file():
+    if not _is_file(path):
         raise ConfigError(f"config file not found: {path}")
     return parse_config_text(path.read_text(), source=str(path))

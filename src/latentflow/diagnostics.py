@@ -12,6 +12,7 @@ import numpy as np
 
 from .data import PairedDataset
 from .model import evaluate_metric, predict
+from .schedules import interpolate, target_velocity
 from .solvers import SolverSpec, solve
 from .tensor import no_grad
 
@@ -64,12 +65,11 @@ def velocity_cosine_profile(model, ds: PairedDataset, t_grid) -> list[tuple[floa
     with no_grad():
         z0 = model.encode_data(ds.x).data
         z1 = model.encode_label(ds.y).data
-        s = model.schedule
         out = []
         for t in np.asarray(t_grid, dtype=np.float64):
             t = float(t)
-            z_t = float(s.alpha(t)) * z0 + float(s.beta(t)) * z1
-            v_t = float(s.dalpha(t)) * z0 + float(s.dbeta(t)) * z1
+            z_t = interpolate(model.schedule, z0, z1, t)
+            v_t = target_velocity(model.schedule, z0, z1, t)
             pred = model.velocity(z_t, t).data
             out.append((t, _mean_cosine(pred, v_t)))
     return out

@@ -1,28 +1,34 @@
-"""Latent flow-matching model, its training loop, inference, and baselines.
+"""Latent flow-matching model, its one training loop, inference, and baselines.
 
-The model is four networks sharing a latent width d: a data encoder
-(x -> z0), a label encoder (y -> z1), a label decoder (z -> y), and a
-time-conditioned dynamics function (z, t -> velocity). Training regresses the
+The model is four networks sharing a latent width d: a data encoder f
+(x -> z0), a label encoder g (y -> z1), a label decoder d (z -> y), and a
+time-conditioned dynamics function h (z, t -> velocity). Training regresses the
 dynamics onto the schedule's target velocity between the *learned* endpoint
 embeddings while a label autoencoding term keeps the label embedding
 informative. Inference encodes x, integrates the dynamics from t=0 to t=1,
 and decodes.
 
-Two baselines live here as well: a classic continuous-depth model trained by
-backpropagating through an unrolled fixed-step solve, and velocity regression
-directly in data space on fixed (zero-padded) endpoints, which fails whenever
-the data-space chords cross.
+The two baselines are the same model with some parts fixed to parameter-free
+column maps (`ColumnMap`) and their own loss; all three train through `fit`:
+
+- direct flow matching regresses the velocity between zero-padded data-space
+  endpoints (f and g pad to max(d_x, d_y), d keeps the first d_y columns), and
+  fails whenever the data-space chords cross;
+- the unrolled NODE keeps its state in data space (f is the identity) and
+  backpropagates a supervised loss through a fixed-step solve, at n_steps
+  dynamics evaluations per step for Euler (4x for RK4).
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .data import PairedDataset, TaskKind, denormalize_y
-from .nn import AdamState, Mlp, adam_step, cosine_lr
+from .nn import AdamState, ColumnMap, Mlp, adam_step, cosine_lr
 from .objectives import LossBreakdown, TimeSampler, flow_loss, total_loss
 from .schedules import Schedule, get_schedule
 from .solvers import SolveResult, SolverSpec, solve, solve_with_grad
@@ -39,15 +45,14 @@ __all__ = [
     "TrainingAbort",
     "LogEntry",
     "TrainLog",
+    "fit",
     "train",
     "evaluate_metric",
     "rmse",
     "mse",
     "accuracy",
-    "NodeBaseline",
     "build_node_baseline",
     "node_baseline_train",
-    "DirectFlowModel",
     "build_direct_fm",
     "direct_fm_train",
 ]
@@ -93,10 +98,14 @@ class ModelSpec:
 
 
 class LatentFlowModel:
-    """The four networks plus the schedule; see the module docstring."""
+    """The four networks plus the schedule; see the module docstring.
 
-    def __init__(self, spec: ModelSpec, data_encoder: Mlp, label_encoder: Mlp,
-                 label_decoder: Mlp, dynamics: Mlp):
+    Any of f, g and d may be a `ColumnMap` (the baselines); h is always an Mlp.
+    """
+
+    def __init__(self, spec: ModelSpec, data_encoder: Mlp | ColumnMap,
+                 label_encoder: Mlp | ColumnMap, label_decoder: Mlp | ColumnMap,
+                 dynamics: Mlp):
         d = spec.resolved_latent_dim()
         if not (data_encoder.d_out == label_encoder.d_out == dynamics.d_out == d
                 and dynamics.d_in == d and label_decoder.d_in == d):
@@ -147,17 +156,53 @@ class LatentFlowModel:
         return self.dynamics.forward(z, t).data
 
 
+def _build_dynamics(spec: ModelSpec, rng: np.random.Generator) -> Mlp:
+    d = spec.resolved_latent_dim()
+    dims = [d] + [spec.dyn_hidden] * (spec.dyn_depth - 1) + [d]
+    return Mlp.build(dims, activation=spec.dyn_activation, time_conditioned=True,
+                     rng=rng, name="dyn")
+
+
 def build_model(spec: ModelSpec, seed: int = 0) -> LatentFlowModel:
     rng = np.random.default_rng(seed)
     d = spec.resolved_latent_dim()
     enc_dims = [spec.d_x] + [spec.enc_hidden] * (spec.enc_depth - 1) + [d]
-    dyn_dims = [d] + [spec.dyn_hidden] * (spec.dyn_depth - 1) + [d]
     data_encoder = Mlp.build(enc_dims, activation=spec.enc_activation, rng=rng, name="enc")
     label_encoder = Mlp.build([spec.d_y, d], activation=spec.enc_activation, rng=rng, name="lenc")
     label_decoder = Mlp.build([d, spec.d_y], activation=spec.enc_activation, rng=rng, name="ldec")
-    dynamics = Mlp.build(dyn_dims, activation=spec.dyn_activation,
-                         time_conditioned=True, rng=rng, name="dyn")
-    return LatentFlowModel(spec, data_encoder, label_encoder, label_decoder, dynamics)
+    return LatentFlowModel(spec, data_encoder, label_encoder, label_decoder,
+                           _build_dynamics(spec, rng))
+
+
+def build_direct_fm(d_x: int, d_y: int, task: TaskKind, schedule: str = "linear",
+                    hidden: int = 64, depth: int = 3, seed: int = 0) -> LatentFlowModel:
+    """Direct flow matching: only h is learned, between zero-padded x and y."""
+    d = max(d_x, d_y)
+    spec = ModelSpec(d_x, d_y, task, schedule=schedule, latent_dim=d,
+                     dyn_hidden=hidden, dyn_depth=depth)
+    dynamics = _build_dynamics(spec, np.random.default_rng(seed))
+    return LatentFlowModel(spec, ColumnMap(d_x, d), ColumnMap(d_y, d), ColumnMap(d, d_y),
+                           dynamics)
+
+
+def build_node_baseline(d_x: int, d_y: int, task: TaskKind, hidden: int = 64,
+                        depth: int = 3, seed: int = 0,
+                        linear_decoder: bool = True) -> LatentFlowModel:
+    """Unrolled NODE: state in data space, h and a linear decoder d are learned.
+
+    With ``linear_decoder=False`` the decoder is the identity (needs d_x == d_y).
+    g maps y to d_x columns only so the model is complete; training never uses it.
+    """
+    rng = np.random.default_rng(seed)
+    spec = ModelSpec(d_x, d_y, task, latent_dim=d_x, dyn_hidden=hidden, dyn_depth=depth)
+    dynamics = _build_dynamics(spec, rng)
+    if linear_decoder:
+        decoder = Mlp.build([d_x, d_y], activation="tanh", rng=rng, name="dec")
+    elif d_x != d_y:
+        raise ValueError("identity decoder requires d_x == d_y")
+    else:
+        decoder = ColumnMap(d_x, d_y)
+    return LatentFlowModel(spec, ColumnMap(d_x, d_x), ColumnMap(d_y, d_x), decoder, dynamics)
 
 
 def save_model(path, model: LatentFlowModel) -> None:
@@ -229,7 +274,7 @@ class TrainConfig:
     log_every: int = 1
 
     def __post_init__(self):
-        if self.iterations < 0 or self.batch_size < 1 or self.lr <= 0:
+        if self.iterations < 0 or self.batch_size < 1 or not self.lr > 0:
             raise ValueError("iterations must be >= 0, batch_size >= 1, lr > 0")
         if self.eval_interval < 1 or self.patience < 1 or self.log_every < 1:
             raise ValueError("eval_interval, patience and log_every must be >= 1")
@@ -279,7 +324,12 @@ class TrainLog:
     entries: list[LogEntry]
     stopped_early: bool = False
     best_val: float | None = None
-    final_train_nfe_per_step: float = 1.0
+    final_train_nfe_per_step: float = 0.0
+
+
+# loss_fn(model, x, y, sampler, rng) -> (loss on the tape, its breakdown)
+LossFn = Callable[[LatentFlowModel, np.ndarray, np.ndarray, TimeSampler, np.random.Generator],
+                  tuple[Tensor, LossBreakdown]]
 
 
 def _batch_indices(rng: np.random.Generator, n: int, batch_size: int) -> np.ndarray | None:
@@ -293,15 +343,16 @@ def _lower_is_better(task: TaskKind, metric: float) -> float:
     return metric if not task.is_classification else 1.0 - metric
 
 
-def train(model: LatentFlowModel, train_ds: PairedDataset, cfg: TrainConfig,
-          val_ds: PairedDataset | None = None) -> TrainLog:
-    """Minibatch optimization of the combined flow + label autoencoding loss.
+def fit(model: LatentFlowModel, loss_fn: LossFn, train_ds: PairedDataset,
+        cfg: TrainConfig, val_ds: PairedDataset | None = None) -> TrainLog:
+    """Minibatch Adam on ``loss_fn``: the one training loop of every method.
 
-    Each step draws a minibatch and per-sample times, takes one Adam step at
-    the scheduled rate, and costs exactly one dynamics evaluation. With a
-    validation set, the metric is checked every ``eval_interval`` steps and
-    training stops after ``patience`` non-improving rounds, restoring the
-    best-validation parameters.
+    Each step draws a minibatch, evaluates ``loss_fn`` on it and takes one Adam
+    step at the scheduled rate. Batches, times and noise come from children 0,
+    1 and 2 of ``SeedSequence(cfg.seed)``. A step's ``train_nfe`` is the number
+    of dynamics calls measured around ``loss_fn``. With a validation set, the
+    metric is checked every ``eval_interval`` steps and training stops after
+    ``patience`` non-improving rounds, restoring the best-validation parameters.
     """
     if train_ds.d_x != model.spec.d_x or train_ds.d_y != model.spec.d_y:
         raise ValueError(
@@ -320,17 +371,22 @@ def train(model: LatentFlowModel, train_ds: PairedDataset, cfg: TrainConfig,
     best_score: float | None = None
     bad_rounds = 0
     stopped_early = False
+    steps = total_nfe = 0
 
     for step in range(cfg.iterations):
         lr = cfg.lr_at(step)
         idx = _batch_indices(rng_batch, train_ds.n, cfg.batch_size)
         bx = train_ds.x if idx is None else train_ds.x[idx]
         by = train_ds.y if idx is None else train_ds.y[idx]
-        loss_t, bd = total_loss(model, bx, by, sampler, cfg.sigma, rng_noise)
+        calls = model.dynamics.calls
+        loss_t, bd = loss_fn(model, bx, by, sampler, rng_noise)
+        nfe = model.dynamics.calls - calls
         if not np.isfinite(bd.total):
             raise TrainingAbort(step, bd)
         grads = backward(loss_t, params)
         adam_step(params, grads, state, lr)
+        steps += 1
+        total_nfe += nfe
 
         val_metric = None
         if val_ds is not None and (step + 1) % cfg.eval_interval == 0:
@@ -343,7 +399,7 @@ def train(model: LatentFlowModel, train_ds: PairedDataset, cfg: TrainConfig,
             else:
                 bad_rounds += 1
         if step % cfg.log_every == 0 or val_metric is not None or step == cfg.iterations - 1:
-            entries.append(LogEntry(step, lr, bd.flow_loss, bd.label_ae_loss, val_metric))
+            entries.append(LogEntry(step, lr, bd.flow_loss, bd.label_ae_loss, val_metric, nfe))
         if val_ds is not None and bad_rounds >= cfg.patience:
             stopped_early = True
             break
@@ -354,176 +410,43 @@ def train(model: LatentFlowModel, train_ds: PairedDataset, cfg: TrainConfig,
     best_val = None
     if best_score is not None:
         best_val = (1.0 - best_score) if model.task.is_classification else best_score
-    return TrainLog(entries, stopped_early=stopped_early, best_val=best_val)
+    return TrainLog(entries, stopped_early=stopped_early, best_val=best_val,
+                    final_train_nfe_per_step=total_nfe / max(steps, 1))
 
 
-class NodeBaseline:
-    """Continuous-depth model trained by unrolling a fixed-step solver.
-
-    State lives in data space (identity encoder) unless an encoder is given;
-    the decoder defaults to a single trainable linear layer. Training
-    backpropagates through the unrolled solve, so each step costs n_steps
-    dynamics evaluations for Euler (4x for RK4).
-    """
-
-    def __init__(self, dynamics: Mlp, decoder: Mlp | None, task: TaskKind,
-                 encoder: Mlp | None = None):
-        self.encoder = encoder
-        self.dynamics = dynamics
-        self.decoder = decoder
-        self.task = task
-
-    def parameters(self) -> list[Tensor]:
-        out = []
-        for net in (self.encoder, self.dynamics, self.decoder):
-            if net is not None:
-                out.extend(net.parameters())
-        return out
-
-    def forward_tape(self, x: np.ndarray, n_steps: int, method: str) -> tuple[Tensor, int]:
-        z0 = Tensor(x) if self.encoder is None else self.encoder.forward(x)
-        z1, nfe = solve_with_grad(
-            lambda z, t: self.dynamics.forward(z, t), z0, 0.0, 1.0, n_steps, method
-        )
-        out = z1 if self.decoder is None else self.decoder.forward(z1)
-        return out, nfe
-
-    def predict_raw(self, x, solver_spec: SolverSpec) -> tuple[np.ndarray, SolveResult]:
-        with no_grad():
-            x = np.asarray(x, dtype=np.float64)
-            z0 = x if self.encoder is None else self.encoder.forward(x).data
-            res = solve(lambda z, t: self.dynamics.forward(z, t).data,
-                        z0, 0.0, 1.0, solver_spec)
-            out = res.z_final.data
-            if self.decoder is not None:
-                out = self.decoder.forward(out).data
-        return out, res
+def _single_term(loss_t: Tensor) -> tuple[Tensor, LossBreakdown]:
+    loss = loss_t.item()
+    return loss_t, LossBreakdown(loss, 0.0, loss)
 
 
-def build_node_baseline(d_x: int, d_y: int, task: TaskKind, hidden: int = 64,
-                        depth: int = 3, seed: int = 0,
-                        linear_decoder: bool = True) -> NodeBaseline:
-    rng = np.random.default_rng(seed)
-    dynamics = Mlp.build([d_x] + [hidden] * (depth - 1) + [d_x], activation="tanh",
-                         time_conditioned=True, rng=rng, name="dyn")
-    decoder = None
-    if linear_decoder:
-        decoder = Mlp.build([d_x, d_y], activation="tanh", rng=rng, name="dec")
-    elif d_x != d_y:
-        raise ValueError("identity decoder requires d_x == d_y")
-    return NodeBaseline(dynamics, decoder, task)
+def train(model: LatentFlowModel, train_ds: PairedDataset, cfg: TrainConfig,
+          val_ds: PairedDataset | None = None) -> TrainLog:
+    """Latent flow matching: flow loss plus label autoencoding, one dynamics
+    evaluation per step."""
+
+    def loss_fn(m, x, y, sampler, rng):
+        return total_loss(m, x, y, sampler, cfg.sigma, rng)
+
+    return fit(model, loss_fn, train_ds, cfg, val_ds)
 
 
-def node_baseline_train(node: NodeBaseline, train_ds: PairedDataset, n_steps: int,
-                        cfg: TrainConfig, method: str = "euler",
-                        val_ds: PairedDataset | None = None) -> TrainLog:
-    """Discretize-then-optimize supervised training of the baseline."""
-    params = node.parameters()
-    state = AdamState.for_params(params)
-    rng_batch = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
-    entries: list[LogEntry] = []
-    per_step_nfe = n_steps if method == "euler" else 4 * n_steps
-
-    for step in range(cfg.iterations):
-        lr = cfg.lr_at(step)
-        idx = _batch_indices(rng_batch, train_ds.n, cfg.batch_size)
-        bx = train_ds.x if idx is None else train_ds.x[idx]
-        by = train_ds.y if idx is None else train_ds.y[idx]
-        out, nfe = node.forward_tape(bx, n_steps, method)
-        loss_t = mean_all(sq_diff_rowsum(out, Tensor(by)))
-        loss = loss_t.item()
-        if not np.isfinite(loss):
-            raise TrainingAbort(step, LossBreakdown(loss, 0.0, loss))
-        grads = backward(loss_t, params)
-        adam_step(params, grads, state, lr)
-        val_metric = None
-        if val_ds is not None and (step + 1) % cfg.eval_interval == 0:
-            val_metric, _ = evaluate_metric(node, val_ds, cfg.eval_solver)
-        if step % cfg.log_every == 0 or step == cfg.iterations - 1 or val_metric is not None:
-            entries.append(LogEntry(step, lr, loss, 0.0, val_metric, train_nfe=nfe))
-    return TrainLog(entries, final_train_nfe_per_step=float(per_step_nfe))
-
-
-class DirectFlowModel:
-    """Velocity regression in data space on fixed endpoints.
-
-    x and y are zero-padded to a common width; there are no learned encoders,
-    so crossing chords make the target velocity multivalued and the learned
-    field averages them at intersections. Serves as the failing control.
-    """
-
-    def __init__(self, dynamics: Mlp, schedule: Schedule, d_x: int, d_y: int,
-                 task: TaskKind):
-        self.dynamics = dynamics
-        self.schedule = schedule
-        self.d_x = d_x
-        self.d_y = d_y
-        self.d = max(d_x, d_y)
-        self.task = task
-
-    def _pad(self, a: np.ndarray, width: int) -> np.ndarray:
-        a = np.asarray(a, dtype=np.float64)
-        if a.shape[1] == width:
-            return a
-        out = np.zeros((a.shape[0], width))
-        out[:, : a.shape[1]] = a
-        return out
-
-    def encode_data(self, x) -> Tensor:
-        return Tensor(self._pad(x, self.d))
-
-    def encode_label(self, y) -> Tensor:
-        return Tensor(self._pad(y, self.d))
-
-    def decode_label(self, z):
-        arr = z.data if isinstance(z, Tensor) else np.asarray(z)
-        return Tensor(arr[:, : self.d_y])
-
-    def velocity(self, z, t) -> Tensor:
-        return self.dynamics.forward(z, t)
-
-    def parameters(self) -> list[Tensor]:
-        return self.dynamics.parameters()
-
-    def predict_raw(self, x, solver_spec: SolverSpec) -> tuple[np.ndarray, SolveResult]:
-        with no_grad():
-            z0 = self._pad(np.asarray(x, dtype=np.float64), self.d)
-            res = solve(lambda z, t: self.dynamics.forward(z, t).data,
-                        z0, 0.0, 1.0, solver_spec)
-        return res.z_final.data[:, : self.d_y], res
-
-
-def build_direct_fm(d_x: int, d_y: int, task: TaskKind, schedule: str = "linear",
-                    hidden: int = 64, depth: int = 3, seed: int = 0) -> DirectFlowModel:
-    d = max(d_x, d_y)
-    rng = np.random.default_rng(seed)
-    dynamics = Mlp.build([d] + [hidden] * (depth - 1) + [d], activation="tanh",
-                         time_conditioned=True, rng=rng, name="dyn")
-    return DirectFlowModel(dynamics, get_schedule(schedule), d_x, d_y, task)
-
-
-def direct_fm_train(model: DirectFlowModel, train_ds: PairedDataset,
+def direct_fm_train(model: LatentFlowModel, train_ds: PairedDataset,
                     cfg: TrainConfig) -> TrainLog:
     """Train the dynamics alone on fixed data-space endpoints."""
-    params = model.parameters()
-    state = AdamState.for_params(params)
-    batch_ss, time_ss = np.random.SeedSequence(cfg.seed).spawn(2)
-    rng_batch = np.random.default_rng(batch_ss)
-    sampler = TimeSampler(cfg.p_zero, seed=time_ss)
-    entries: list[LogEntry] = []
 
-    for step in range(cfg.iterations):
-        lr = cfg.lr_at(step)
-        idx = _batch_indices(rng_batch, train_ds.n, cfg.batch_size)
-        bx = train_ds.x if idx is None else train_ds.x[idx]
-        by = train_ds.y if idx is None else train_ds.y[idx]
-        times = sampler.sample(bx.shape[0])
-        loss_t = flow_loss(model, bx, by, times)
-        loss = loss_t.item()
-        if not np.isfinite(loss):
-            raise TrainingAbort(step, LossBreakdown(loss, 0.0, loss))
-        grads = backward(loss_t, params)
-        adam_step(params, grads, state, lr)
-        if step % cfg.log_every == 0 or step == cfg.iterations - 1:
-            entries.append(LogEntry(step, lr, loss, 0.0))
-    return TrainLog(entries)
+    def loss_fn(m, x, y, sampler, rng):
+        return _single_term(flow_loss(m, x, y, sampler.sample(x.shape[0])))
+
+    return fit(model, loss_fn, train_ds, cfg)
+
+
+def node_baseline_train(node: LatentFlowModel, train_ds: PairedDataset, n_steps: int,
+                        cfg: TrainConfig, method: str = "euler",
+                        val_ds: PairedDataset | None = None) -> TrainLog:
+    """Discretize-then-optimize supervised training of the unrolled baseline."""
+
+    def loss_fn(m, x, y, sampler, rng):
+        z1, _ = solve_with_grad(m.velocity, m.encode_data(x), 0.0, 1.0, n_steps, method)
+        return _single_term(mean_all(sq_diff_rowsum(m.decode_label(z1), Tensor(y))))
+
+    return fit(node, loss_fn, train_ds, cfg, val_ds)

@@ -1,4 +1,5 @@
-"""MLP building blocks, Adam optimizer, cosine learning-rate schedule, checkpoints."""
+"""MLP building blocks, fixed column maps, Adam optimizer, cosine learning-rate
+schedule, checkpoints."""
 
 from __future__ import annotations
 
@@ -10,11 +11,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import GradientMap, ShapeMismatch, Tensor, linear, relu, tanh
+from .tensor import GradientMap, ShapeMismatch, Tensor, as_tensor, linear, relu, tanh
 
 __all__ = [
     "LinearLayer",
     "Mlp",
+    "ColumnMap",
     "AdamState",
     "OptimizerError",
     "adam_step",
@@ -150,6 +152,36 @@ class Mlp:
 
     def param_count(self) -> int:
         return sum(p.data.size for p in self.parameters())
+
+
+class ColumnMap:
+    """Parameter-free map from d_in to d_out columns, a stand-in for a network.
+
+    Zero-pads (d_out > d_in), keeps the first d_out columns (d_out < d_in), or
+    passes its input through unchanged (d_out == d_in). Only the pass-through
+    carries gradients; padded and truncated outputs are constants.
+    """
+
+    def __init__(self, d_in: int, d_out: int):
+        self.d_in = d_in
+        self.d_out = d_out
+
+    def forward(self, x) -> Tensor:
+        x = as_tensor(x)
+        if x.ndim != 2 or x.shape[1] != self.d_in:
+            raise ShapeMismatch("column map input", x.shape, (self.d_in,))
+        if self.d_out == self.d_in:
+            return x
+        out = np.zeros((x.shape[0], self.d_out))
+        keep = min(self.d_in, self.d_out)
+        out[:, :keep] = x.data[:, :keep]
+        return Tensor(out)
+
+    def parameters(self) -> list[Tensor]:
+        return []
+
+    def named_parameters(self) -> list[tuple[str, Tensor]]:
+        return []
 
 
 @dataclass

@@ -12,6 +12,7 @@ costs 4n, and dopri5 with first-same-as-last stage reuse costs
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,8 +41,8 @@ class SolverSpec:
             if self.n_steps is None or self.n_steps < 1:
                 raise ValueError(f"{self.kind} needs n_steps >= 1, got {self.n_steps}")
         elif self.kind == "dopri5":
-            if self.rtol is None or self.atol is None or self.rtol <= 0 or self.atol <= 0:
-                raise ValueError("dopri5 needs rtol > 0 and atol > 0")
+            if not all(tol is not None and 0.0 < tol < math.inf for tol in (self.rtol, self.atol)):
+                raise ValueError("dopri5 needs finite rtol > 0 and atol > 0")
         else:
             raise ValueError(f"unknown solver kind {self.kind!r}")
 
@@ -86,7 +87,6 @@ class SolveResult:
     nfe: int
     accepted_steps: int
     rejected_steps: int
-    trajectory: list[tuple[float, np.ndarray]] | None = None
 
 
 # Dormand-Prince 5(4) tableau. B5 is the propagating 5th-order weight row
@@ -123,27 +123,25 @@ def _check_state(z: np.ndarray) -> None:
 
 
 def solve(f: Callable[[np.ndarray, float], np.ndarray], z0, t0: float, t1: float,
-          spec: SolverSpec, record_stride: int | None = None) -> SolveResult:
+          spec: SolverSpec) -> SolveResult:
     """Integrate dz/dt = f(z, t) from t0 to t1.
 
     ``f`` maps (state array, time) to a velocity array of the same shape and
-    must be pure. With ``record_stride`` set, every stride-th accepted step
-    (plus the endpoints) is snapshotted into the trajectory.
+    must be pure.
     """
     if not t0 < t1:
         raise ValueError(f"need t0 < t1, got {t0} >= {t1}")
     z = np.ascontiguousarray(z0, dtype=np.float64).copy()
     if spec.kind == "euler":
-        return _fixed_step(f, z, t0, t1, spec.n_steps, record_stride, stages=1)
+        return _fixed_step(f, z, t0, t1, spec.n_steps, stages=1)
     if spec.kind == "rk4":
-        return _fixed_step(f, z, t0, t1, spec.n_steps, record_stride, stages=4)
-    return _dopri5(f, z, t0, t1, spec.rtol, spec.atol, record_stride)
+        return _fixed_step(f, z, t0, t1, spec.n_steps, stages=4)
+    return _dopri5(f, z, t0, t1, spec.rtol, spec.atol)
 
 
-def _fixed_step(f, z, t0, t1, n, record_stride, stages):
+def _fixed_step(f, z, t0, t1, n, stages):
     h = (t1 - t0) / n
     nfe = 0
-    traj = [(t0, z.copy())] if record_stride else None
     for i in range(n):
         t = t0 + i * h
         if stages == 1:
@@ -157,9 +155,7 @@ def _fixed_step(f, z, t0, t1, n, record_stride, stages):
             z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             nfe += 4
         _check_state(z)
-        if traj is not None and ((i + 1) % record_stride == 0 or i + 1 == n):
-            traj.append((t0 + (i + 1) * h, z.copy()))
-    return SolveResult(Tensor(z), nfe, accepted_steps=n, rejected_steps=0, trajectory=traj)
+    return SolveResult(Tensor(z), nfe, accepted_steps=n, rejected_steps=0)
 
 
 def _initial_step(z, k1, t0, t1, rtol, atol) -> float:
@@ -176,14 +172,13 @@ def _initial_step(z, k1, t0, t1, rtol, atol) -> float:
     return float(min(max(h, 1e-9 * span), span))
 
 
-def _dopri5(f, z, t0, t1, rtol, atol, record_stride):
+def _dopri5(f, z, t0, t1, rtol, atol):
     t = t0
     k = [None] * 7
     k[0] = np.asarray(f(z, t), dtype=np.float64)
     nfe = 1
     h = _initial_step(z, k[0], t0, t1, rtol, atol)
     accepted = rejected = 0
-    traj = [(t0, z.copy())] if record_stride else None
     span = t1 - t0
 
     while t < t1:
@@ -211,14 +206,12 @@ def _dopri5(f, z, t0, t1, rtol, atol, record_stride):
             t, z = t_new, z_new
             k[0] = k[6]  # first-same-as-last reuse
             accepted += 1
-            if traj is not None and (accepted % record_stride == 0 or t >= t1):
-                traj.append((t, z.copy()))
         else:
             rejected += 1
         factor = _FACTOR_MAX if err == 0.0 else _SAFETY * err ** _ERR_EXPONENT
         h = h * min(max(factor, _FACTOR_MIN), _FACTOR_MAX)
 
-    return SolveResult(Tensor(z), nfe, accepted, rejected, trajectory=traj)
+    return SolveResult(Tensor(z), nfe, accepted, rejected)
 
 
 def solve_with_grad(f: Callable[[Tensor, float], Tensor], z0, t0: float, t1: float,

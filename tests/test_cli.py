@@ -5,8 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from latentflow.cli import main
+from latentflow.cli import main, train_config_from
 from latentflow.config import ConfigError, RunConfig, load_config, parse_config_text
 
 TOY_TRAIN_CFG = """\
@@ -68,6 +69,50 @@ def test_unknown_solver_string_exits_2(tmp_path):
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text("dataset = toy\nsolver = euler:0\n")
     assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("line", [
+    "iterations = -1",
+    "batch_size = 0",
+    "eval_interval = 0",
+    "schedule = bogus",
+    "t_zero_prob = 2",
+    "label_noise_std = -1",
+    "label_noise_std = nan",
+    "lr = nan",
+    "lr = inf",
+    "dataset = synth:5,0",
+    "seed = -1",
+    "solver = dopri5:nan",
+    pytest.param("dataset = csv:" + "a" * 300, id="csv path too long for the file system"),
+])
+def test_out_of_range_config_value_exits_2(tmp_path, line):
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(f"dataset = toy\niterations = 2\nbatch_size = 4\n{line}\n")
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+_CONFIG_KEYS = sorted(RunConfig.__dataclass_fields__)
+_CONFIG_VALUES = st.one_of(
+    st.text(max_size=12),
+    st.integers(min_value=-10, max_value=10**6).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "-inf", "toy", "concave", "synth:5,0", "synth:4,2,-3", "synth:1,1",
+                     "dopri5:inf", "euler:0", "rk4:2", "csv:" + "a" * 300, "csv:\x00"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_CONFIG_KEYS), _CONFIG_VALUES), max_size=6))
+def test_config_parse_and_validate_raise_only_config_error(pairs):
+    text = "\n".join(f"{key} = {value}" for key, value in pairs)
+    try:
+        cfg = parse_config_text(text).validate()
+    except ConfigError:
+        return
+    train_config_from(cfg)  # a validated config passes the trainer's own range checks
 
 
 def test_zero_iterations_writes_empty_log(tmp_path):

@@ -189,6 +189,38 @@ def test_direct_fm_zero_pads_mismatched_dims():
     assert len(log.entries) == 3
 
 
+def test_node_early_stopping_restores_best_checkpoint():
+    ds = lf.synth_regression(60, 2, seed=2)
+    train_ds, val_ds = lf.split(ds, 0.6, seed=0)
+    node = build_node_baseline(2, 1, ds.task, hidden=8, depth=2, seed=0)
+    cfg = lf.TrainConfig(iterations=200, batch_size=16, lr=3e-2, seed=0,
+                         eval_interval=2, patience=1)
+    log = node_baseline_train(node, train_ds, 2, cfg, val_ds=val_ds)
+    restored_metric, _ = evaluate_metric(node, val_ds, cfg.eval_solver)
+    assert log.stopped_early and log.entries[-1].step < cfg.iterations - 1
+    assert restored_metric == log.best_val
+
+
+@pytest.mark.parametrize("trainer", ["direct_fm", "node"])
+def test_baselines_reject_mismatched_dims(trainer):
+    bad = lf.synth_regression(8, 3, seed=0)  # d_x=3, d_y=1
+    cfg = lf.TrainConfig(iterations=1)
+    with pytest.raises(ValueError, match="do not match model spec"):
+        if trainer == "direct_fm":
+            direct_fm_train(build_direct_fm(2, 2, bad.task, hidden=4, depth=2), bad, cfg)
+        else:
+            node_baseline_train(build_node_baseline(2, 2, bad.task, hidden=4, depth=2), bad, 2, cfg)
+
+
+def test_rk4_node_logs_measured_nfe():
+    ds = lf.toy_crossing()
+    node = build_node_baseline(2, 2, ds.task, hidden=8, depth=2, seed=0, linear_decoder=False)
+    log = node_baseline_train(node, ds, 3, lf.TrainConfig(
+        iterations=5, batch_size=2, lr=1e-3, seed=0), method="rk4")
+    assert [e.train_nfe for e in log.entries] == [12] * 5
+    assert log.final_train_nfe_per_step == 12.0
+
+
 def test_model_checkpoint_round_trip(tmp_path, toy_latent, toy_ds):
     model, _ = toy_latent
     path = tmp_path / "ckpt.json"

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from latentflow.nn import (
     AdamState,
+    ColumnMap,
     LinearLayer,
     Mlp,
     OptimizerError,
@@ -229,3 +230,18 @@ def test_checkpoint_rejects_unknown_format(tmp_path):
     path.write_text('{"format": "other", "params": []}')
     with pytest.raises(ValueError, match="format"):
         load_checkpoint(path)
+
+
+def test_column_map_pads_truncates_and_passes_through():
+    x = np.array([[1.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(ColumnMap(2, 3).forward(x).data, [[1.0, 2.0, 0.0], [3.0, 4.0, 0.0]])
+    assert np.array_equal(ColumnMap(2, 1).forward(x).data, [[1.0], [3.0]])
+    assert ColumnMap(2, 2).parameters() == [] and ColumnMap(2, 2).named_parameters() == []
+    with pytest.raises(ShapeMismatch):
+        ColumnMap(3, 3).forward(x)
+    # the pass-through keeps the tape, so gradients reach its input
+    t = Tensor(x, requires_grad=True)
+    out = ColumnMap(2, 2).forward(t)
+    assert out is t
+    grads = backward(mean_all(sq_diff_rowsum(out, Tensor(np.zeros((2, 2))))), [t])
+    assert np.array_equal(grads[t.id].data, x)

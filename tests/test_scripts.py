@@ -1,0 +1,30 @@
+"""Smoke runs of the experiment scripts at a few training steps."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _run(script: str, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(SCRIPTS / script), *args],
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_toy_compare_script(tmp_path):
+    proc = _run("toy_compare.py", "--out", str(tmp_path), "--iterations", "3")
+    assert proc.returncode == 0, proc.stderr
+    table = json.loads((tmp_path / "comparison.json").read_text())
+    assert [row["method"] for row in table["rows"]] == ["latent_fm", "direct_fm", "node_euler8"]
+    assert [row["train_nfe_per_step"] for row in table["rows"]] == [1.0, 1.0, 8.0]
+
+
+def test_synth_nfe_sweep_script(tmp_path):
+    proc = _run("synth_nfe_sweep.py", "--out", str(tmp_path), "--iterations", "3", "--n", "32")
+    assert proc.returncode == 0, proc.stderr
+    for kind in ("linear", "convex", "concave"):
+        lines = (tmp_path / f"sweep_{kind}.csv").read_text().splitlines()
+        assert lines[0] == "solver,nfe,rmse"
+        assert len(lines) == 1 + 9  # eight Euler step counts and dopri5

@@ -107,17 +107,6 @@ def test_overflowing_state_raises(spec):
         solve(lambda z, t: z * 1e308, np.ones((1, 2)), 0.0, 1.0, SolverSpec.parse(spec))
 
 
-def test_trajectory_recording_stride():
-    res = solve(lambda z, t: -z, np.array([1.0]), 0.0, 1.0, SolverSpec.euler(10),
-                record_stride=2)
-    times = [t for t, _ in res.trajectory]
-    assert times[0] == 0.0 and times[-1] == pytest.approx(1.0)
-    assert len(times) == 6  # t0 plus steps 2, 4, 6, 8, 10
-
-    silent = solve(lambda z, t: -z, np.array([1.0]), 0.0, 1.0, SolverSpec.euler(10))
-    assert silent.trajectory is None
-
-
 def test_solver_spec_parsing_round_trip():
     assert SolverSpec.parse("euler:8") == SolverSpec.euler(8)
     assert SolverSpec.parse("rk4:4") == SolverSpec.rk4(4)
