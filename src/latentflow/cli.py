@@ -164,13 +164,6 @@ def cmd_train(args) -> int:
     wall = time.perf_counter() - t0
     log.info("training finished: %d logged steps in %.1fs", len(train_log.entries), wall)
 
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_model(out_dir / "checkpoint.json", model)
-    with (out_dir / "train_log.jsonl").open("w") as fh:
-        for entry in train_log.entries:
-            fh.write(json.dumps(entry.to_dict(), sort_keys=True) + "\n")
-
     final: dict = {"stopped_early": train_log.stopped_early, "best_val": train_log.best_val}
     if cfg.iterations > 0:
         metric, nfe = evaluate_metric(model, train_ds, tc.eval_solver)
@@ -197,7 +190,24 @@ def cmd_train(args) -> int:
         "final_metrics": final,
         "timing": {"started_at": started, "wall_clock_sec": wall},
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+
+    # Every file is written under a temporary name, then renamed into place
+    # with the manifest last, so a failed run leaves no half-written file and
+    # an existing run directory keeps its previous files.
+    out_dir = Path(cfg.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    tmp = {name: out_dir / f".{name}.tmp"
+           for name in ("checkpoint.json", "train_log.jsonl", "manifest.json")}
+    try:
+        save_model(tmp["checkpoint.json"], model)
+        tmp["train_log.jsonl"].write_text("".join(
+            json.dumps(entry.to_dict(), sort_keys=True) + "\n" for entry in train_log.entries))
+        tmp["manifest.json"].write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        for name, path in tmp.items():
+            os.replace(path, out_dir / name)
+    finally:
+        for path in tmp.values():
+            path.unlink(missing_ok=True)
     log.info("wrote checkpoint, manifest and log to %s", out_dir)
     return 0
 

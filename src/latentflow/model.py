@@ -443,10 +443,15 @@ def direct_fm_train(model: LatentFlowModel, train_ds: PairedDataset,
 def node_baseline_train(node: LatentFlowModel, train_ds: PairedDataset, n_steps: int,
                         cfg: TrainConfig, method: str = "euler",
                         val_ds: PairedDataset | None = None) -> TrainLog:
-    """Discretize-then-optimize supervised training of the unrolled baseline."""
+    """Discretize-then-optimize supervised training of the unrolled baseline.
+
+    Validation, if any, integrates with the solver the loss unrolls, not
+    ``cfg.eval_solver``.
+    """
 
     def loss_fn(m, x, y, sampler, rng):
         z1, _ = solve_with_grad(m.velocity, m.encode_data(x), 0.0, 1.0, n_steps, method)
         return _single_term(mean_all(sq_diff_rowsum(m.decode_label(z1), Tensor(y))))
 
+    cfg = dataclasses.replace(cfg, eval_solver=SolverSpec(method, n_steps))
     return fit(node, loss_fn, train_ds, cfg, val_ds)

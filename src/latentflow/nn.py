@@ -184,6 +184,12 @@ class ColumnMap:
         return []
 
 
+# Adam's moment decay rates and denominator offset (Kingma & Ba's defaults).
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moments of all parameters in two flat buffers, plus the step counter.
@@ -199,23 +205,12 @@ class AdamState:
     v: np.ndarray
     ids: tuple[int, ...]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     values: np.ndarray | None = None
 
     @classmethod
-    def for_params(cls, params: Sequence[Tensor], beta1: float = 0.9,
-                   beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
+    def for_params(cls, params: Sequence[Tensor]) -> "AdamState":
         size = sum(p.data.size for p in params)
-        return cls(
-            m=np.zeros(size),
-            v=np.zeros(size),
-            ids=tuple(p.id for p in params),
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
-        )
+        return cls(m=np.zeros(size), v=np.zeros(size), ids=tuple(p.id for p in params))
 
 
 def _flat_values(params: Sequence[Tensor], state: AdamState) -> np.ndarray:
@@ -244,20 +239,20 @@ def adam_step(params: Sequence[Tensor], grads: GradientMap, state: AdamState,
         raise OptimizerError(f"gradients missing for parameters: {names}")
     if tuple(p.id for p in params) != state.ids:
         raise OptimizerError("parameters differ from those the optimizer state was made for")
-    g = np.concatenate([grads[p.id].data.reshape(-1) for p in params])
+    g = np.concatenate([grads[p.id].reshape(-1) for p in params])
     if np.isnan(g).any():
-        bad = next(p for p in params if np.isnan(grads[p.id].data).any())
+        bad = next(p for p in params if np.isnan(grads[p.id]).any())
         raise OptimizerError(f"NaN gradient for parameter {bad.name or bad.id}")
     state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
+    bc1 = 1.0 - _ADAM_BETA1 ** state.step
+    bc2 = 1.0 - _ADAM_BETA2 ** state.step
     m, v = state.m, state.v
-    m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    v *= state.beta2
-    v += (1.0 - state.beta2) * (g * g)
+    m *= _ADAM_BETA1
+    m += (1.0 - _ADAM_BETA1) * g
+    v *= _ADAM_BETA2
+    v += (1.0 - _ADAM_BETA2) * (g * g)
     values = _flat_values(params, state)
-    values -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    values -= lr * (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
 
 
 def cosine_lr(step: int, total: int, base: float) -> float:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedules import interpolate, target_velocity
-from .tensor import ShapeMismatch, Tensor, add, mean_all, sq_diff_rowsum
+from .tensor import ShapeMismatch, Tensor, combine, mean_all, sq_diff_rowsum
 
 __all__ = [
     "TimeSampler",
@@ -114,7 +114,7 @@ def _label_ae_from_embedding(model, y: np.ndarray, z1: Tensor, sigma: float,
     if noise is None and sigma > 0:
         noise = sigma * rng.standard_normal(z1.shape)
     if noise is not None:
-        h = add(z1, Tensor(noise))
+        h = combine(z1, noise, 1.0, 1.0)
     rec = model.decode_label(h)
     return mean_all(sq_diff_rowsum(rec, Tensor(y)))
 
@@ -136,5 +136,5 @@ def total_loss(model, x, y, sampler: TimeSampler, sigma: float,
     z1 = model.encode_label(y)
     lf = _flow_from_embeddings(model, z0, z1, times)
     lae = _label_ae_from_embedding(model, y, z1, sigma, rng, None)
-    lt = add(lf, lae)
+    lt = combine(lf, lae, 1.0, 1.0)
     return lt, LossBreakdown(lf.item(), lae.item(), lt.item())

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tensor import Tensor, add, as_tensor, scale
+from .tensor import Tensor, as_tensor, combine
 
 __all__ = ["SolverSpec", "SolveResult", "SolverError", "solve", "solve_with_grad"]
 
@@ -236,14 +236,14 @@ def solve_with_grad(f: Callable[[Tensor, float], Tensor], z0, t0: float, t1: flo
     for i in range(n_steps):
         t = t0 + i * h
         if method == "euler":
-            z = add(z, scale(f(z, t), h))
+            z = combine(z, f(z, t), 1.0, h)
             nfe += 1
         else:
             k1 = f(z, t)
-            k2 = f(add(z, scale(k1, 0.5 * h)), t + 0.5 * h)
-            k3 = f(add(z, scale(k2, 0.5 * h)), t + 0.5 * h)
-            k4 = f(add(z, scale(k3, h)), t + h)
-            incr = add(add(k1, scale(add(k2, k3), 2.0)), k4)
-            z = add(z, scale(incr, h / 6.0))
+            k2 = f(combine(z, k1, 1.0, 0.5 * h), t + 0.5 * h)
+            k3 = f(combine(z, k2, 1.0, 0.5 * h), t + 0.5 * h)
+            k4 = f(combine(z, k3, 1.0, h), t + h)
+            incr = combine(combine(k1, combine(k2, k3, 1.0, 1.0), 1.0, 2.0), k4, 1.0, 1.0)
+            z = combine(z, incr, 1.0, h / 6.0)
             nfe += 4
     return z, nfe

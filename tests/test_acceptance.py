@@ -19,7 +19,7 @@ from latentflow.model import evaluate_metric, mse
 from latentflow.objectives import TimeSampler, flow_loss, label_ae_loss
 from latentflow.schedules import SCHEDULES, get_schedule, interpolate
 from latentflow.solvers import SolverSpec, solve
-from latentflow.tensor import Tensor, grad_check, no_grad
+from latentflow.tensor import Tensor, combine, grad_check, no_grad
 
 EULER1 = SolverSpec.euler(1)
 DOPRI = SolverSpec.dopri5(1e-3, 1e-3)
@@ -123,8 +123,9 @@ def test_criterion_1_gradient_correctness():
     losses = {
         "flow": lambda: flow_loss(model, ds.x, ds.y, times),
         "label_ae_noisy": lambda: label_ae_loss(model, ds.y, 0.3, frozen_rng, noise=noise),
-        "total": lambda: flow_loss(model, ds.x, ds.y, times)
-        + label_ae_loss(model, ds.y, 0.3, frozen_rng, noise=noise),
+        "total": lambda: combine(flow_loss(model, ds.x, ds.y, times),
+                                 label_ae_loss(model, ds.y, 0.3, frozen_rng, noise=noise),
+                                 1.0, 1.0),
     }
     groups = {"f": model.data_encoder, "g": model.label_encoder,
               "d": model.label_decoder, "h": model.dynamics}

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import latentflow.cli
 from latentflow.cli import main, train_config_from
 from latentflow.config import ConfigError, RunConfig, load_config, parse_config_text
+from latentflow.solvers import SolverError
 
 TOY_TRAIN_CFG = """\
 # crossing toy task, full run
@@ -122,6 +124,26 @@ def test_zero_iterations_writes_empty_log(tmp_path):
     assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert (out / "train_log.jsonl").read_text() == ""
     assert (out / "checkpoint.json").is_file()
+
+
+def test_failed_train_leaves_run_directory_as_it_was(tmp_path, monkeypatch):
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text("dataset = toy\niterations = 2\nbatch_size = 4\n")
+    existing = tmp_path / "existing"
+    assert main(["train", "--config", str(cfg_path), "--out", str(existing)]) == 0
+    before = {p.name: p.read_bytes() for p in existing.iterdir()}
+
+    def failing_metric(*_args):
+        raise SolverError("NaN or infinite state encountered during integration")
+
+    monkeypatch.setattr(latentflow.cli, "evaluate_metric", failing_metric)
+    fresh = tmp_path / "fresh"
+    assert main(["train", "--config", str(cfg_path), "--out", str(fresh)]) == 1
+    assert not (fresh / "checkpoint.json").exists()
+    assert not (fresh / "manifest.json").exists()
+    assert main(["train", "--config", str(cfg_path), "--out", str(existing),
+                 "--seed", "5"]) == 1
+    assert {p.name: p.read_bytes() for p in existing.iterdir()} == before
 
 
 def test_toy_command_prints_csv(capsys):

@@ -196,7 +196,8 @@ def test_node_early_stopping_restores_best_checkpoint():
     cfg = lf.TrainConfig(iterations=200, batch_size=16, lr=3e-2, seed=0,
                          eval_interval=2, patience=1)
     log = node_baseline_train(node, train_ds, 2, cfg, val_ds=val_ds)
-    restored_metric, _ = evaluate_metric(node, val_ds, cfg.eval_solver)
+    # validation integrates with the euler:2 solve the loss unrolls
+    restored_metric, _ = evaluate_metric(node, val_ds, SolverSpec.euler(2))
     assert log.stopped_early and log.entries[-1].step < cfg.iterations - 1
     assert restored_metric == log.best_val
 

@@ -28,6 +28,30 @@ def test_interpolate_hits_endpoints_exactly(kind):
     assert np.array_equal(interpolate(s, z0, z1, 1.0), z1)
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(ALL_KINDS),
+       values=st.lists(_FINITE, min_size=12, max_size=12),
+       ends=st.lists(st.sampled_from([0.0, 1.0]), min_size=3, max_size=3),
+       on_tape=st.booleans())
+def test_interpolate_endpoints_exact_for_scalar_and_per_row_t(kind, values, ends, on_tape):
+    s = get_schedule(kind)
+    z0 = np.array(values[:6]).reshape(3, 2)
+    z1 = np.array(values[6:]).reshape(3, 2)
+
+    def state(t):
+        out = interpolate(s, Tensor(z0) if on_tape else z0, z1, t)
+        return out.data if on_tape else out
+
+    assert np.array_equal(state(0.0), z0)
+    assert np.array_equal(state(1.0), z1)
+    t = np.array(ends)
+    expected = np.where(t[:, None] == 0.0, z0, z1)
+    assert np.array_equal(state(t), expected)
+
+
 def test_linear_midpoint():
     s = get_schedule("linear")
     assert interpolate(s, np.array([[0.0]]), np.array([[1.0]]), 0.5)[0, 0] == 0.5

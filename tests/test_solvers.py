@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from latentflow.nn import Mlp
 from latentflow.solvers import SolveResult, SolverError, SolverSpec, solve, solve_with_grad
-from latentflow.tensor import Tensor, backward, grad_check, mean_all, sq_diff_rowsum, sum_all
+from latentflow.tensor import Tensor, backward, grad_check, mean_all, sq_diff_rowsum
 
 EXP_MINUS_ONE = 0.36787944117144233  # closed-form solution of z' = -z at t = 1
 
@@ -71,6 +71,30 @@ def test_dopri5_nfe_identity(field, rtol):
     assert res.accepted_steps >= 1
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**16), n=st.integers(min_value=1, max_value=12),
+       tol=st.sampled_from([1e-3, 1e-5, 1e-7]))
+def test_nfe_identities_on_random_linear_fields(seed, n, tol):
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(-2.0, 2.0, size=(3, 3))
+    z0 = rng.uniform(-1.0, 1.0, size=(4, 3))
+    calls = [0]
+
+    def field(z, t):
+        calls[0] += 1
+        return z @ A.T + t
+
+    for spec, expected in ((SolverSpec.euler(n), n), (SolverSpec.rk4(n), 4 * n),
+                           (SolverSpec.dopri5(tol, tol), None)):
+        calls[0] = 0
+        res = solve(field, z0, 0.0, 1.0, spec)
+        assert res.nfe == calls[0]
+        if expected is None:
+            assert res.nfe == 1 + 6 * (res.accepted_steps + res.rejected_steps)
+        else:
+            assert res.nfe == expected
+
+
 def test_dopri5_counts_rejections():
     # stiff decay at loose initial step forces at least one rejection
     res = solve(lambda z, t: -80.0 * z, np.array([1.0]), 0.0, 1.0,
@@ -123,7 +147,8 @@ def test_solver_spec_rejects_invalid(text):
 
 
 def test_grad_solve_single_euler_step_constant_dynamics():
-    # z1 = z0 + (t1 - t0) * b, so dz1/db is exactly the interval length
+    # z1 = z0 + (t1 - t0) * b, so dz1/db is exactly the interval length, and
+    # the mean over z1's two entries halves it
     rng = np.random.default_rng(0)
     f = Mlp.build([2, 2], rng=rng, name="f")
     weight, bias = f.parameters()
@@ -131,17 +156,17 @@ def test_grad_solve_single_euler_step_constant_dynamics():
 
     z1, nfe = solve_with_grad(lambda z, t: f.forward(z), Tensor(np.zeros((1, 2))),
                               0.0, 0.5, n_steps=1)
-    grads = backward(sum_all(z1), f.parameters())
+    grads = backward(mean_all(z1), f.parameters())
     assert nfe == 1
-    assert np.allclose(grads[bias.id].data, np.full(2, 0.5), atol=1e-15)
+    assert np.allclose(grads[bias.id], np.full(2, 0.25), atol=1e-15)
 
 
 def test_grad_solve_gradient_wrt_initial_state_of_constant_field_is_identity():
     z0 = Tensor(np.array([[0.25, -1.0]]), requires_grad=True)
     v = Tensor(np.array([[2.0, 3.0]]))
     z1, _ = solve_with_grad(lambda z, t: v, z0, 0.0, 1.0, n_steps=4)
-    g = backward(sum_all(z1), [z0])[z0.id].data
-    assert np.array_equal(g, np.ones((1, 2)))
+    g = backward(mean_all(z1), [z0])[z0.id]
+    assert np.array_equal(g, np.full((1, 2), 0.5))  # d mean / d z1 for 2 entries
 
 
 @pytest.mark.parametrize("method, expected_nfe", [("euler", 8), ("rk4", 32)])

@@ -2,33 +2,31 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import latentflow as lf
+import latentflow.model
+import latentflow.tensor
 from latentflow.nn import Mlp
 from latentflow.tensor import (
     AutodiffError,
     ShapeMismatch,
     Tensor,
-    add,
     backward,
     combine,
     grad_check,
     linear,
-    matmul,
     mean_all,
-    mul,
     no_grad,
     relu,
-    scale,
     sq_diff_rowsum,
-    sub,
-    sum_all,
     tanh,
 )
 
+PRIMITIVES = {"linear", "combine", "tanh", "relu", "mean_all", "sq_diff_rowsum"}
 
-def test_matmul_identity():
-    v = np.array([[1.7], [-0.3], [2.2]])
-    out = matmul(Tensor(np.eye(3)), Tensor(v))
-    assert np.array_equal(out.data, v)
+
+def _sum_of_squares(t) -> Tensor:
+    """sum(t**2) / rows of a 2-D tensor, built from the tape's primitives."""
+    return mean_all(sq_diff_rowsum(t, np.zeros(t.shape)))
 
 
 def test_activation_values():
@@ -42,67 +40,70 @@ def test_mean_value():
 
 
 def test_square_gradient():
-    x = Tensor([3.0], requires_grad=True)
-    loss = sum_all(mul(x, x))
+    x = Tensor([[3.0]], requires_grad=True)
+    loss = _sum_of_squares(x)
     g = backward(loss, [x])[x.id]
-    assert g.data[0] == 6.0
+    assert g[0, 0] == 6.0
 
 
 def test_unreachable_param_gets_zero_gradient():
-    x = Tensor([1.0], requires_grad=True)
-    other = Tensor([2.0], requires_grad=True)
-    loss = sum_all(mul(x, x))
+    x = Tensor([[1.0]], requires_grad=True)
+    other = Tensor([[2.0]], requires_grad=True)
+    loss = _sum_of_squares(x)
     grads = backward(loss, [x, other])
-    assert grads[other.id].data[0] == 0.0
-    assert grads[x.id].data.shape == other.data.shape
+    assert grads[other.id][0, 0] == 0.0
+    assert grads[x.id].shape == other.data.shape
 
 
 def test_non_scalar_loss_rejected():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(AutodiffError, match="scalar"):
-        backward(mul(x, x), [x])
+        backward(tanh(x), [x])
 
 
 def test_nan_in_backward_names_op():
-    a = Tensor([1.0], requires_grad=True)
-    b = Tensor([np.inf])
-    # 0 * inf in the mul backward produces the NaN
-    loss = mean_all(scale(mul(a, b), 0.0))
-    with pytest.raises(AutodiffError, match="mul"):
+    a = Tensor([[1.0]], requires_grad=True)
+    # the zero coefficient sends a zero gradient into linear, whose backward
+    # then multiplies it by the infinite weight: 0 * inf is the NaN
+    out = linear(a, np.array([[np.inf]]), np.zeros(1))
+    loss = mean_all(combine(out, np.ones((1, 1)), 0.0, 1.0))
+    with pytest.raises(AutodiffError, match="linear"):
         backward(loss, [a])
 
 
 @pytest.mark.parametrize(
     "primitive, shapes",
     [
-        (matmul, ((2, 3), (2, 3))),
-        (add, ((2, 3), (3, 2))),
-        (mul, ((2, 3), (2, 2))),
-        (sub, ((4,), (3,))),
+        (linear, ((2, 3), (4, 2), (4,))),
+        (combine, ((2, 3), (3, 2))),
+        (linear, ((2, 3), (4, 3), (3,))),
+        (combine, ((4,), (3,))),
         (sq_diff_rowsum, ((2, 3), (2, 2))),
     ],
 )
 def test_shape_mismatch_names_primitive_and_shapes(primitive, shapes):
-    a = Tensor(np.zeros(shapes[0]))
-    b = Tensor(np.zeros(shapes[1]))
+    operands = [Tensor(np.zeros(s)) for s in shapes]
+    if primitive is combine:
+        operands += [1.0, 1.0]  # scalar coefficients
     with pytest.raises(ShapeMismatch) as err:
-        primitive(a, b)
+        primitive(*operands)
     assert err.value.shapes == shapes
     assert err.value.primitive in str(err.value)
 
 
 def test_bias_broadcast_add():
-    x = Tensor(np.ones((4, 3)), requires_grad=True)
-    b = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
-    loss = sum_all(add(x, b))
+    # linear adds the bias to every row; its gradient sums over the batch
+    x = Tensor(np.ones((4, 2)), requires_grad=True)
+    b = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    loss = mean_all(linear(x, np.eye(2), b))
     grads = backward(loss, [x, b])
-    assert np.array_equal(grads[b.id].data, np.full(3, 4.0))
-    assert np.array_equal(grads[x.id].data, np.ones((4, 3)))
+    assert np.array_equal(grads[b.id], np.full(2, 0.5))
+    assert np.array_equal(grads[x.id], np.full((4, 2), 0.125))
 
 
 def test_grad_check_sum_of_squares():
-    x = Tensor([1.0, 2.0], requires_grad=True)
-    err = grad_check(lambda v: sum_all(mul(v, v)), x)
+    x = Tensor([[1.0, 2.0]], requires_grad=True)
+    err = grad_check(_sum_of_squares, x)
     assert err < 1e-8
 
 
@@ -116,7 +117,6 @@ def _primitive_losses(x: Tensor):
     """Scalar losses exercising each primitive's backward."""
     n, d = x.shape
     c = Tensor(np.linspace(-1.0, 1.0, x.data.size).reshape(x.shape))
-    w = Tensor(np.linspace(0.3, 1.2, d * 2).reshape(d, 2))
     rows = np.linspace(0.1, 0.9, n)  # per-row times or coefficients
     # layer weights reading v as the input: [out, d] plain, [out, d + 1] timed
     w_in = np.linspace(-0.8, 0.9, 5 * (d + 1)).reshape(5, d + 1)
@@ -125,11 +125,9 @@ def _primitive_losses(x: Tensor):
     x_in = np.linspace(-1.5, 1.0, 6 * d).reshape(6, d)
     b_w = np.linspace(0.1, 0.4, n)
 
-    def squared(t):  # nonlinear readout, so the gradient depends on the point
-        return sum_all(mul(t, t))
+    squared = _sum_of_squares  # nonlinear readout, so the gradient depends on the point
 
     return {
-        "matmul": lambda v: sum_all(matmul(v, w)),
         "linear": lambda v: squared(linear(v, w_in[:, :d], b_out)),
         "linear_t_scalar": lambda v: squared(linear(v, w_in, b_out, 0.3)),
         "linear_t_rows": lambda v: squared(linear(v, w_in, b_out, rows)),
@@ -138,16 +136,12 @@ def _primitive_losses(x: Tensor):
         "linear_weight_t_rows": lambda v: squared(
             linear(x_in[:, : d - 1], v, b_w, np.linspace(-1.0, 1.0, 6))),
         "combine": lambda v: squared(combine(v, c, -0.4, 1.3)),
+        "combine_unit": lambda v: squared(combine(c, v, 1.0, 1.0)),
         "combine_rows": lambda v: squared(combine(c, v, rows, rows[::-1] - 2.0)),
-        "add": lambda v: sum_all(add(v, c)),
-        "sub": lambda v: sum_all(sub(v, c)),
-        "mul": lambda v: sum_all(mul(v, c)),
-        "scale": lambda v: sum_all(scale(v, -1.7)),
-        "tanh": lambda v: sum_all(tanh(v)),
-        "relu": lambda v: sum_all(relu(v)),
+        "tanh": lambda v: mean_all(tanh(v)),
+        "relu": lambda v: mean_all(relu(v)),
         "mean_all": mean_all,
-        "sum_all": sum_all,
-        "sq_diff_rowsum": lambda v: sum_all(sq_diff_rowsum(v, c)),
+        "sq_diff_rowsum": lambda v: mean_all(sq_diff_rowsum(v, c)),
     }
 
 
@@ -167,7 +161,7 @@ def test_linear_bias_gradient_against_finite_differences(t):
     x = rng.uniform(-1.0, 1.0, size=(3, 2))
     W = rng.uniform(-1.0, 1.0, size=(4, 2 if t is None else 3))
     b = Tensor(rng.uniform(-1.0, 1.0, size=4), requires_grad=True)
-    assert grad_check(lambda v: sum_all(tanh(linear(x, W, v, t))), b) < 1e-6
+    assert grad_check(lambda v: mean_all(tanh(linear(x, W, v, t))), b) < 1e-6
 
 
 @pytest.mark.parametrize("t", [0.35, np.array([0.0, 0.5, 1.0])])
@@ -209,12 +203,12 @@ def test_gradient_linearity(a, b):
     rng = np.random.default_rng(4)
     x = Tensor(rng.uniform(-2.0, 2.0, size=(3, 2)), requires_grad=True)
     c = Tensor(rng.uniform(-2.0, 2.0, size=(3, 2)))
-    loss1 = sum_all(mul(x, x))
-    loss2 = sum_all(mul(x, c))
-    combined = add(scale(loss1, a), scale(loss2, b))
-    g1 = backward(loss1, [x])[x.id].data
-    g2 = backward(loss2, [x])[x.id].data
-    gc = backward(combined, [x])[x.id].data
+    loss1 = _sum_of_squares(x)
+    loss2 = mean_all(sq_diff_rowsum(x, c))
+    combined = combine(loss1, loss2, a, b)
+    g1 = backward(loss1, [x])[x.id]
+    g2 = backward(loss2, [x])[x.id]
+    gc = backward(combined, [x])[x.id]
     assert np.all(np.abs(gc - (a * g1 + b * g2)) < 1e-12)
 
 
@@ -224,9 +218,9 @@ def test_forward_and_gradients_deterministic():
         mlp = Mlp.build([2, 4, 2], activation="relu", rng=rng, name="m")
         x = rng.uniform(-1.0, 1.0, size=(5, 2))
         out = mlp.forward(x)
-        loss = mean_all(mul(out, out))
+        loss = _sum_of_squares(out)
         grads = backward(loss, mlp.parameters())
-        return out.data.copy(), [grads[p.id].data.copy() for p in mlp.parameters()]
+        return out.data.copy(), [grads[p.id].copy() for p in mlp.parameters()]
 
     out_a, grads_a = build_and_run()
     out_b, grads_b = build_and_run()
@@ -238,13 +232,49 @@ def test_forward_and_gradients_deterministic():
 def test_no_grad_suppresses_tape():
     x = Tensor([1.0], requires_grad=True)
     with no_grad():
-        out = mul(x, x)
+        out = tanh(x)
     assert out._backward is None
-    grads = backward(sum_all(out), [x])
-    assert grads[x.id].data[0] == 0.0
+    grads = backward(mean_all(out), [x])
+    assert grads[x.id][0] == 0.0
 
 
-def test_nonfinite_detection_is_a_checked_operation():
-    assert not Tensor([1.0, 2.0]).has_nonfinite()
-    assert Tensor([1.0, np.nan]).has_nonfinite()
-    assert Tensor([np.inf]).has_nonfinite()
+def test_tensor_module_exports_exactly_the_six_primitives():
+    not_ops = {"Tensor", "GradientMap", "ShapeMismatch", "AutodiffError", "no_grad",
+               "as_tensor", "backward", "grad_check"}
+    assert set(latentflow.tensor.__all__) - not_ops == PRIMITIVES
+
+
+def _recorded_ops(loss: Tensor) -> set[str]:
+    ops, seen, stack = set(), set(), [loss]
+    while stack:
+        t = stack.pop()
+        if t.id not in seen:
+            seen.add(t.id)
+            ops.add(t.op)
+            stack.extend(t._parents)
+    return ops - {"leaf"}
+
+
+@pytest.mark.parametrize("method", ["latent_fm", "direct_fm", "node_rk4"])
+def test_training_losses_record_only_the_six_primitives(method, monkeypatch):
+    ds = lf.toy_crossing()
+    cfg = lf.TrainConfig(iterations=1, batch_size=4, seed=0)
+    losses = []
+
+    def recording_backward(loss, params):
+        losses.append(loss)
+        return backward(loss, params)
+
+    monkeypatch.setattr(latentflow.model, "backward", recording_backward)
+    if method == "latent_fm":
+        spec = lf.ModelSpec(d_x=2, d_y=2, task=ds.task, enc_hidden=8, dyn_hidden=8)
+        lf.train(lf.build_model(spec, seed=0), ds, cfg)
+    elif method == "direct_fm":
+        lf.direct_fm_train(lf.build_direct_fm(2, 2, ds.task, hidden=8), ds, cfg)
+    else:
+        node = lf.build_node_baseline(2, 2, ds.task, hidden=8)
+        lf.node_baseline_train(node, ds, 2, cfg, method="rk4")
+    (loss,) = losses
+    ops = _recorded_ops(loss)
+    assert ops <= PRIMITIVES
+    assert {"linear", "combine", "mean_all", "sq_diff_rowsum"} <= ops
