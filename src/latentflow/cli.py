@@ -65,24 +65,18 @@ def _configure_logging() -> None:
 
 
 def resolve_dataset(cfg: RunConfig) -> PairedDataset:
-    spec = cfg.dataset
-    if spec == "toy":
-        return toy_crossing(True)
-    if spec == "toy_control":
-        return toy_crossing(False)
-    if spec.startswith("csv:"):
-        x_cols = [c.strip() for c in cfg.x_cols.split(",") if c.strip()]
-        y_cols = [c.strip() for c in cfg.y_cols.split(",") if c.strip()]
-        if cfg.task == "classification":
-            task = TaskKind.classification(cfg.num_classes) if cfg.num_classes else "classification"
-        else:
-            task = TaskKind.regression()
-        return load_csv(spec[4:], x_cols, y_cols, task)
-    if spec.startswith("synth:"):
-        parts = [int(p) for p in spec[len("synth:"):].split(",")]
-        seed = parts[2] if len(parts) == 3 else cfg.seed
-        return synth_regression(parts[0], parts[1], seed)
-    raise ConfigError(f"unknown dataset spec {spec!r}")
+    kind, args = cfg.dataset_source()
+    if kind == "toy":
+        return toy_crossing(*args)
+    if kind == "synth":
+        return synth_regression(*args)
+    x_cols = [c.strip() for c in cfg.x_cols.split(",") if c.strip()]
+    y_cols = [c.strip() for c in cfg.y_cols.split(",") if c.strip()]
+    if cfg.task == "classification":
+        task = TaskKind.classification(cfg.num_classes) if cfg.num_classes else "classification"
+    else:
+        task = TaskKind.regression()
+    return load_csv(*args, x_cols, y_cols, task)
 
 
 def prepare_splits(cfg: RunConfig, ds: PairedDataset) -> tuple[PairedDataset, PairedDataset | None]:
@@ -135,11 +129,7 @@ def _normalization_dict(ds: PairedDataset) -> dict:
 
 
 def _load_run_config(args) -> RunConfig:
-    if getattr(args, "config", None):
-        cfg = load_config(args.config)
-    else:
-        cfg = RunConfig()
-    return _apply_overrides(cfg, args).validate()
+    return _apply_overrides(load_config(args.config), args).validate()
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
@@ -341,37 +331,38 @@ def cmd_toy(args) -> int:
     return 0
 
 
+# The flags each subcommand reads; --seed, --out, --solver and --dataset
+# override the config value of the same name.
+_FLAGS = {
+    "config": dict(required=True, help="flat key=value config file"),
+    "checkpoint": dict(required=True, help="directory written by train"),
+    "seed": dict(type=int),
+    "out": {},
+    "solver": {},
+    "dataset": {},
+}
+_COMMANDS = (
+    ("train", "train a latent flow model", cmd_train,
+     ("config", "seed", "out", "solver", "dataset")),
+    ("eval", "evaluate a checkpoint", cmd_eval, ("checkpoint", "seed", "solver", "dataset")),
+    ("diagnose", "write the diagnostics report for a checkpoint", cmd_diagnose,
+     ("checkpoint", "seed", "out", "dataset")),
+    ("compare", "latent vs direct velocity regression vs unrolled solver", cmd_compare,
+     ("config", "seed", "out", "dataset")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latentflow",
         description="Simulation-free training of continuous-depth models on paired data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, config_required=False):
-        p.add_argument("--config", required=config_required, help="flat key=value config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--solver", default=None)
-        p.add_argument("--dataset", default=None)
-
-    p_train = sub.add_parser("train", help="train a latent flow model")
-    common(p_train, config_required=True)
-    p_train.set_defaults(func=cmd_train)
-
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
-    p_eval.add_argument("--checkpoint", required=True, help="directory written by train")
-    common(p_eval)
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_diag = sub.add_parser("diagnose", help="write the diagnostics report for a checkpoint")
-    p_diag.add_argument("--checkpoint", required=True)
-    common(p_diag)
-    p_diag.set_defaults(func=cmd_diagnose)
-
-    p_cmp = sub.add_parser("compare", help="latent vs direct velocity regression vs unrolled solver")
-    common(p_cmp, config_required=True)
-    p_cmp.set_defaults(func=cmd_compare)
+    for name, help_text, func, flags in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        p.set_defaults(func=func)
 
     p_toy = sub.add_parser("toy", help="print the canonical crossing dataset as CSV")
     p_toy.add_argument("--variant", choices=["crossing", "control"], default="crossing")

@@ -88,20 +88,27 @@ class RunConfig:
             SolverSpec.parse(self.solver)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        self._validate_dataset()
+        self.dataset_source()
         return self
 
-    def _validate_dataset(self) -> None:
+    def dataset_source(self) -> tuple[str, tuple]:
+        """Parse ``dataset`` into a source kind and the arguments of its loader.
+
+        Returns ("toy", (crossing,)), ("csv", (path,)) or ("synth", (n, d_x,
+        seed)), where a synth spec without a seed takes ``self.seed``. Raises
+        ConfigError for a malformed spec, a missing csv file, or a csv spec
+        without x_cols and y_cols.
+        """
         spec = self.dataset
         if spec in ("toy", "toy_control"):
-            return
+            return "toy", (spec == "toy",)
         if spec.startswith("csv:"):
-            path = Path(spec[4:])
-            if not _is_file(path):
+            path = spec[4:]
+            if not _is_file(Path(path)):
                 raise ConfigError(f"csv dataset file not found: {path}")
             if not self.x_cols.strip() or not self.y_cols.strip():
                 raise ConfigError("csv datasets need x_cols and y_cols")
-            return
+            return "csv", (path,)
         if spec.startswith("synth:"):
             parts = spec[len("synth:"):].split(",")
             if len(parts) not in (2, 3):
@@ -112,7 +119,7 @@ class RunConfig:
                 raise ConfigError(f"synth spec needs integers, got {spec!r}") from None
             if values[0] < 2 or values[1] < 1 or min(values) < 0:
                 raise ConfigError(f"synth spec needs n >= 2, d_x >= 1 and seed >= 0, got {spec!r}")
-            return
+            return "synth", (values[0], values[1], values[2] if len(values) == 3 else self.seed)
         raise ConfigError(f"unknown dataset spec {spec!r}")
 
     def to_dict(self) -> dict:

@@ -226,21 +226,28 @@ def load_csv(path, x_cols: list[str], y_cols: list[str],
     return PairedDataset(x, y, task)
 
 
-def standardize(ds: PairedDataset, x_mean=None, x_std=None, y_mean=None, y_std=None) -> PairedDataset:
-    """Standardize features (and regression targets) with the given stats.
+def standardize(ds: PairedDataset) -> PairedDataset:
+    """Standardize features (and regression targets) by the dataset's own moments."""
+    return apply_normalization(ds, ds.x.mean(axis=0), ds.x.std(axis=0),
+                               ds.y.mean(axis=0), ds.y.std(axis=0))
 
-    Stats default to the dataset's own moments. Near-constant features keep
-    unit scale so the transform stays invertible.
+
+def apply_normalization(ds: PairedDataset, x_mean, x_std, y_mean, y_std) -> PairedDataset:
+    """Standardize with given stats (e.g. from a training manifest).
+
+    A std below 1e-12 counts as 1, so near-constant columns keep unit scale
+    and the transform stays invertible. Classification targets stay one-hot,
+    recorded with zero mean and unit std whatever stats are given.
     """
-    x_mean = ds.x.mean(axis=0) if x_mean is None else np.asarray(x_mean, dtype=np.float64)
-    x_std = ds.x.std(axis=0) if x_std is None else np.asarray(x_std, dtype=np.float64)
+    x_mean = np.asarray(x_mean, dtype=np.float64)
+    x_std = np.asarray(x_std, dtype=np.float64)
     x_std = np.where(x_std < 1e-12, 1.0, x_std)
     if ds.task.is_classification:
         y_mean = np.zeros(ds.d_y)
         y_std = np.ones(ds.d_y)
     else:
-        y_mean = ds.y.mean(axis=0) if y_mean is None else np.asarray(y_mean, dtype=np.float64)
-        y_std = ds.y.std(axis=0) if y_std is None else np.asarray(y_std, dtype=np.float64)
+        y_mean = np.asarray(y_mean, dtype=np.float64)
+        y_std = np.asarray(y_std, dtype=np.float64)
         y_std = np.where(y_std < 1e-12, 1.0, y_std)
     return PairedDataset(
         (ds.x - x_mean) / x_std,
@@ -251,11 +258,6 @@ def standardize(ds: PairedDataset, x_mean=None, x_std=None, y_mean=None, y_std=N
         y_mean=y_mean,
         y_std=y_std,
     )
-
-
-def apply_normalization(ds: PairedDataset, x_mean, x_std, y_mean, y_std) -> PairedDataset:
-    """Apply externally computed stats (e.g. from a training manifest)."""
-    return standardize(ds, x_mean=x_mean, x_std=x_std, y_mean=y_mean, y_std=y_std)
 
 
 def denormalize_y(ds: PairedDataset, y: np.ndarray) -> np.ndarray:

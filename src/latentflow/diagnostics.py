@@ -28,32 +28,33 @@ __all__ = [
 
 _REL_GAP_TOL = 1e-2  # regression predictions closer than this count as agreeing
 _KNN_BLOCK_BYTES = 16 * 2**20  # working-set bound of one knn_probe distance block
+# The one-step solver under test, and the adaptive solver every diagnostic
+# treats as the faithful integration of the learned field.
+_FAST = SolverSpec.euler(1)
+_REFERENCE = SolverSpec.dopri5(1e-3, 1e-3)
+_T_GRID = np.linspace(0.0, 1.0, 21)
+_NFE_LIST = (1, 2, 5, 10, 50, 100)
 
 
-def disagreement(model, ds: PairedDataset,
-                 fast: SolverSpec | None = None,
-                 reference: SolverSpec | None = None,
-                 rel_tol: float = _REL_GAP_TOL) -> float:
+def disagreement(model, ds: PairedDataset) -> float:
     """Fraction of samples whose one-step prediction differs from the adaptive one.
 
     Classification compares argmax labels; regression counts a sample as
     disagreeing when the relative L2 gap against the adaptive prediction
-    exceeds ``rel_tol``. A proxy for trajectory straightness: a perfectly
-    straight learned flow is integrated exactly by a single Euler step.
+    exceeds 1%. A proxy for trajectory straightness: a perfectly straight
+    learned flow is integrated exactly by a single Euler step.
     """
     if ds.n < 1:
         raise ValueError("disagreement needs a nonempty dataset")
-    fast = fast or SolverSpec.euler(1)
-    reference = reference or SolverSpec.dopri5(1e-3, 1e-3)
     if model.task.is_classification:
-        a, _ = predict(model, ds.x, fast)
-        b, _ = predict(model, ds.x, reference)
+        a, _ = predict(model, ds.x, _FAST)
+        b, _ = predict(model, ds.x, _REFERENCE)
         return float(np.mean(a != b))
-    a, _ = model.predict_raw(ds.x, fast)
-    b, _ = model.predict_raw(ds.x, reference)
+    a, _ = model.predict_raw(ds.x, _FAST)
+    b, _ = model.predict_raw(ds.x, _REFERENCE)
     gap = np.linalg.norm(a - b, axis=1)
     ref = np.maximum(np.linalg.norm(b, axis=1), 1e-12)
-    return float(np.mean(gap / ref > rel_tol))
+    return float(np.mean(gap / ref > _REL_GAP_TOL))
 
 
 def velocity_cosine_profile(model, ds: PairedDataset, t_grid) -> list[tuple[float, float]]:
@@ -86,15 +87,12 @@ def _mean_cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def knn_probe(ref_emb: np.ndarray, ref_labels: np.ndarray, query_emb: np.ndarray,
-              query_labels: np.ndarray, k: int) -> float:
-    """k-nearest-neighbour classification accuracy in an embedding space.
+              query_labels: np.ndarray) -> float:
+    """1-NN classification accuracy in an embedding space.
 
-    Votes are the majority label among the k nearest references (Euclidean);
-    vote ties resolve to the candidate with the smaller summed distance, then
-    to the lowest label.
+    Each query takes the label of its nearest reference (Euclidean); among
+    equally near references the first one wins.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     ref_emb = np.asarray(ref_emb, dtype=np.float64)
     query_emb = np.asarray(query_emb, dtype=np.float64)
     if ref_emb.shape[0] < 1:
@@ -103,7 +101,6 @@ def knn_probe(ref_emb: np.ndarray, ref_labels: np.ndarray, query_emb: np.ndarray
         raise ValueError("query set must be nonempty")
     ref_labels = np.asarray(ref_labels, dtype=int)
     query_labels = np.asarray(query_labels, dtype=int)
-    k = min(k, ref_emb.shape[0])
 
     # Distances are computed for a block of query rows at a time, so the
     # [rows, r, d] difference tensor stays near _KNN_BLOCK_BYTES whatever q is.
@@ -116,32 +113,20 @@ def knn_probe(ref_emb: np.ndarray, ref_labels: np.ndarray, query_emb: np.ndarray
         diffs = query_emb[start: start + block, None, :] - ref_emb[None, :, :]
         dist = np.linalg.norm(diffs, axis=2)
         del diffs
-        nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
-        for i, order in enumerate(nearest, start=start):
-            labels = ref_labels[order]
-            dists = dist[i - start][order]
-            candidates = {}
-            for lab, dd in zip(labels, dists):
-                cnt, tot = candidates.get(lab, (0, 0.0))
-                candidates[lab] = (cnt + 1, tot + dd)
-            best = min(candidates.items(), key=lambda kv: (-kv[1][0], kv[1][1], kv[0]))[0]
-            if best == query_labels[i]:
-                correct += 1
+        nearest = np.argmin(dist, axis=1)
+        correct += int(np.count_nonzero(ref_labels[nearest] == query_labels[start: start + block]))
     return correct / query_emb.shape[0]
 
 
-def nfe_sweep(model, ds: PairedDataset, nfe_list, include_adaptive: bool = True,
-              adaptive: SolverSpec | None = None) -> list[dict]:
-    """Evaluation metric per Euler step count, plus an adaptive-solver entry
-    reporting its measured NFE."""
+def nfe_sweep(model, ds: PairedDataset, nfe_list) -> list[dict]:
+    """Evaluation metric per Euler step count, then a dopri5 entry reporting
+    its measured NFE."""
     rows = []
     for n in nfe_list:
         metric, nfe = evaluate_metric(model, ds, SolverSpec.euler(int(n)))
         rows.append({"solver": f"euler:{int(n)}", "nfe": nfe, "metric": metric})
-    if include_adaptive:
-        spec = adaptive or SolverSpec.dopri5(1e-3, 1e-3)
-        metric, nfe = evaluate_metric(model, ds, spec)
-        rows.append({"solver": spec.label(), "nfe": nfe, "metric": metric})
+    metric, nfe = evaluate_metric(model, ds, _REFERENCE)
+    rows.append({"solver": _REFERENCE.label(), "nfe": nfe, "metric": metric})
     return rows
 
 
@@ -163,8 +148,8 @@ class DiagnosticsReport:
         }
 
 
-def _knn_pair(model, ds: PairedDataset, k: int) -> tuple[float, float]:
-    """1-NN style probes in the raw-embedding and post-flow spaces.
+def _knn_pair(model, ds: PairedDataset) -> tuple[float, float]:
+    """1-NN probes in the raw-embedding and post-flow spaces.
 
     Classification: the dataset is split into alternating reference/query
     halves and class labels are probed in z0 space and in solved-z1 space.
@@ -174,8 +159,7 @@ def _knn_pair(model, ds: PairedDataset, k: int) -> tuple[float, float]:
     """
     with no_grad():
         z0 = model.encode_data(ds.x).data
-        res = solve(lambda z, t: model.velocity(z, t).data, z0, 0.0, 1.0,
-                    SolverSpec.dopri5(1e-3, 1e-3))
+        res = solve(lambda z, t: model.velocity(z, t).data, z0, 0.0, 1.0, _REFERENCE)
         z1hat = res.z_final.data
         if model.task.is_classification:
             labels = np.argmax(ds.y, axis=1)
@@ -183,27 +167,24 @@ def _knn_pair(model, ds: PairedDataset, k: int) -> tuple[float, float]:
             qry = ~ref
             if not qry.any():
                 ref = qry = np.ones(ds.n, dtype=bool)
-            acc0 = knn_probe(z0[ref], labels[ref], z0[qry], labels[qry], k)
-            acc1 = knn_probe(z1hat[ref], labels[ref], z1hat[qry], labels[qry], k)
+            acc0 = knn_probe(z0[ref], labels[ref], z0[qry], labels[qry])
+            acc1 = knn_probe(z1hat[ref], labels[ref], z1hat[qry], labels[qry])
             return acc0, acc1
         anchors = model.encode_label(ds.y).data
         pair_ids = np.arange(ds.n)
-        acc0 = knn_probe(anchors, pair_ids, z0, pair_ids, 1)
-        acc1 = knn_probe(anchors, pair_ids, z1hat, pair_ids, 1)
+        acc0 = knn_probe(anchors, pair_ids, z0, pair_ids)
+        acc1 = knn_probe(anchors, pair_ids, z1hat, pair_ids)
         return acc0, acc1
 
 
-def build_report(model, ds: PairedDataset, t_grid=None, nfe_list=(1, 2, 5, 10, 50, 100),
-                 k: int = 1) -> DiagnosticsReport:
-    if t_grid is None:
-        t_grid = np.linspace(0.0, 1.0, 21)
-    acc0, acc1 = _knn_pair(model, ds, k)
+def build_report(model, ds: PairedDataset) -> DiagnosticsReport:
+    acc0, acc1 = _knn_pair(model, ds)
     return DiagnosticsReport(
         disagreement_fraction=disagreement(model, ds),
-        cosine_profile=velocity_cosine_profile(model, ds, t_grid),
+        cosine_profile=velocity_cosine_profile(model, ds, _T_GRID),
         knn_accuracy_z0=acc0,
         knn_accuracy_z1hat=acc1,
-        nfe_sweep=nfe_sweep(model, ds, nfe_list),
+        nfe_sweep=nfe_sweep(model, ds, _NFE_LIST),
     )
 
 

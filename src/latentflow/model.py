@@ -186,22 +186,15 @@ def build_direct_fm(d_x: int, d_y: int, task: TaskKind, schedule: str = "linear"
 
 
 def build_node_baseline(d_x: int, d_y: int, task: TaskKind, hidden: int = 64,
-                        depth: int = 3, seed: int = 0,
-                        linear_decoder: bool = True) -> LatentFlowModel:
+                        depth: int = 3, seed: int = 0) -> LatentFlowModel:
     """Unrolled NODE: state in data space, h and a linear decoder d are learned.
 
-    With ``linear_decoder=False`` the decoder is the identity (needs d_x == d_y).
     g maps y to d_x columns only so the model is complete; training never uses it.
     """
     rng = np.random.default_rng(seed)
     spec = ModelSpec(d_x, d_y, task, latent_dim=d_x, dyn_hidden=hidden, dyn_depth=depth)
     dynamics = _build_dynamics(spec, rng)
-    if linear_decoder:
-        decoder = Mlp.build([d_x, d_y], activation="tanh", rng=rng, name="dec")
-    elif d_x != d_y:
-        raise ValueError("identity decoder requires d_x == d_y")
-    else:
-        decoder = ColumnMap(d_x, d_y)
+    decoder = Mlp.build([d_x, d_y], activation="tanh", rng=rng, name="dec")
     return LatentFlowModel(spec, ColumnMap(d_x, d_x), ColumnMap(d_y, d_x), decoder, dynamics)
 
 
@@ -448,10 +441,11 @@ def node_baseline_train(node: LatentFlowModel, train_ds: PairedDataset, n_steps:
     Validation, if any, integrates with the solver the loss unrolls, not
     ``cfg.eval_solver``.
     """
+    solver = SolverSpec(method, n_steps)
 
     def loss_fn(m, x, y, sampler, rng):
-        z1, _ = solve_with_grad(m.velocity, m.encode_data(x), 0.0, 1.0, n_steps, method)
+        z1, _ = solve_with_grad(m.velocity, m.encode_data(x), 0.0, 1.0, solver)
         return _single_term(mean_all(sq_diff_rowsum(m.decode_label(z1), Tensor(y))))
 
-    cfg = dataclasses.replace(cfg, eval_solver=SolverSpec(method, n_steps))
+    cfg = dataclasses.replace(cfg, eval_solver=solver)
     return fit(node, loss_fn, train_ds, cfg, val_ds)

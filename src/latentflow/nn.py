@@ -64,9 +64,6 @@ class LinearLayer:
     def n_out(self) -> int:
         return self.weight.shape[0]
 
-    def __call__(self, x: Tensor, t=None) -> Tensor:
-        return linear(x, self.weight, self.bias, t)
-
 
 class Mlp:
     """Affine-activation chain; no activation after the final layer.
@@ -138,8 +135,6 @@ class Mlp:
                 h = act(h)
         return h
 
-    __call__ = forward
-
     def parameters(self) -> list[Tensor]:
         out = []
         for layer in self.layers:
@@ -149,9 +144,6 @@ class Mlp:
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return [(p.name or str(p.id), p) for p in self.parameters()]
-
-    def param_count(self) -> int:
-        return sum(p.data.size for p in self.parameters())
 
 
 class ColumnMap:

@@ -215,27 +215,23 @@ def _dopri5(f, z, t0, t1, rtol, atol):
 
 
 def solve_with_grad(f: Callable[[Tensor, float], Tensor], z0, t0: float, t1: float,
-                    n_steps: int, method: str = "euler") -> tuple[Tensor, int]:
+                    spec: SolverSpec) -> tuple[Tensor, int]:
     """Fixed-step solve unrolled on the autodiff tape.
 
     Gradients w.r.t. the field's parameters and z0 are the exact gradients of
     the discretized solution. Adaptive stepping is rejected: backpropagation
     through step-size control is not supported.
     """
-    if method not in ("euler", "rk4"):
-        raise ValueError(
-            f"solve_with_grad supports fixed-step euler/rk4 only, got {method!r}"
-        )
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if spec.kind == "dopri5":
+        raise ValueError(f"solve_with_grad supports fixed-step euler/rk4 only, got {spec.label()}")
     if not t0 < t1:
         raise ValueError(f"need t0 < t1, got {t0} >= {t1}")
     z = as_tensor(z0)
-    h = (t1 - t0) / n_steps
+    h = (t1 - t0) / spec.n_steps
     nfe = 0
-    for i in range(n_steps):
+    for i in range(spec.n_steps):
         t = t0 + i * h
-        if method == "euler":
+        if spec.kind == "euler":
             z = combine(z, f(z, t), 1.0, h)
             nfe += 1
         else:

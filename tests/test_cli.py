@@ -220,6 +220,26 @@ def test_diagnose_writes_report_and_prints_json(trained_run, tmp_path, capsys):
     assert len(profile_rows) == 1 + 21  # header plus the default grid
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("eval", "--config"),
+    ("eval", "--out"),
+    ("diagnose", "--config"),
+    ("diagnose", "--solver"),
+    ("compare", "--solver"),
+])
+def test_unread_flags_are_rejected(trained_run, tmp_path, command, flag):
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text("dataset = toy\niterations = 2\nbatch_size = 4\n")
+    values = {"--config": str(cfg_path), "--out": str(tmp_path / "o"), "--solver": "euler:2"}
+    if command == "compare":
+        argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "cmp")]
+    else:
+        argv = [command, "--checkpoint", str(trained_run)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, values[flag]])
+    assert exc.value.code == 2
+
+
 def test_compare_on_crossing_toy(tmp_path, capsys):
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text(

@@ -124,7 +124,7 @@ def test_trained_profiles_separate_latent_from_direct(toy_latent, toy_direct, to
 def test_knn_self_match():
     ref = np.array([[0.0, 0.0], [5.0, 5.0]])
     labels = np.array([3, 8])
-    acc = knn_probe(ref, labels, ref[1:2], labels[1:2], k=1)
+    acc = knn_probe(ref, labels, ref[1:2], labels[1:2])
     assert acc == 1.0
 
 
@@ -135,33 +135,15 @@ def test_knn_separated_clusters():
     emb = np.vstack([a, b])
     labels = np.array([0] * 40 + [1] * 40)
     ref = np.arange(80) % 2 == 0
-    acc = knn_probe(emb[ref], labels[ref], emb[~ref], labels[~ref], k=1)
+    acc = knn_probe(emb[ref], labels[ref], emb[~ref], labels[~ref])
     assert acc == 1.0
 
 
-def test_knn_tie_breaks_by_distance_sum_then_label():
-    # two references, one vote each; equal sums fall back to the lowest label
-    ref = np.array([[0.0, 0.0], [1.0, 0.0]])
-    labels = np.array([7, 2])
-    acc = knn_probe(ref, labels, np.array([[0.5, 0.0]]), np.array([2]), k=2)
-    assert acc == 1.0  # label 2 < label 7 at equal counts and sums
-    closer = knn_probe(ref, labels, np.array([[0.6, 0.0]]), np.array([2]), k=2)
-    assert closer == 1.0  # label 2 is strictly closer
-
-
-def _knn_predictions_unchunked(ref_emb, ref_labels, query_emb, k):
-    """Reference: the whole [q, r, d] difference tensor at once, one query at a time."""
-    k = min(k, ref_emb.shape[0])
+def _knn_predictions_unchunked(ref_emb, ref_labels, query_emb):
+    """Reference: the whole [q, r, d] distance matrix at once; the first of
+    equally near references in a stable sort wins."""
     dist = np.linalg.norm(query_emb[:, None, :] - ref_emb[None, :, :], axis=2)
-    preds = []
-    for i in range(query_emb.shape[0]):
-        order = np.argsort(dist[i], kind="stable")[:k]
-        candidates = {}
-        for lab, dd in zip(ref_labels[order], dist[i][order]):
-            cnt, tot = candidates.get(lab, (0, 0.0))
-            candidates[lab] = (cnt + 1, tot + dd)
-        preds.append(min(candidates.items(), key=lambda kv: (-kv[1][0], kv[1][1], kv[0]))[0])
-    return np.array(preds)
+    return ref_labels[np.argsort(dist, axis=1, kind="stable")[:, 0]]
 
 
 @settings(max_examples=60, deadline=None)
@@ -169,37 +151,34 @@ def _knn_predictions_unchunked(ref_emb, ref_labels, query_emb, k):
     n_ref=st.integers(min_value=1, max_value=12),
     n_query=st.integers(min_value=1, max_value=12),
     d=st.integers(min_value=1, max_value=3),
-    k=st.integers(min_value=1, max_value=5),
     block_rows=st.integers(min_value=1, max_value=13),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_knn_blocked_matches_unchunked_reference(n_ref, n_query, d, k, block_rows, seed):
+def test_knn_blocked_matches_unchunked_reference(n_ref, n_query, d, block_rows, seed):
     # coordinates on a coarse integer grid and few labels, so equal distances
-    # and vote ties are common
+    # between differently labelled references are common
     rng = np.random.default_rng(seed)
     ref = rng.integers(-2, 3, size=(n_ref, d)).astype(float)
     qry = rng.integers(-2, 3, size=(n_query, d)).astype(float)
     labels = rng.integers(0, 3, size=n_ref)
-    expected = _knn_predictions_unchunked(ref, labels, qry, k)
+    expected = _knn_predictions_unchunked(ref, labels, qry)
     block_bytes = block_rows * n_ref * d * 8
     with mock.patch.object(diagnostics, "_KNN_BLOCK_BYTES", block_bytes):
-        assert knn_probe(ref, labels, qry, expected, k) == 1.0
+        assert knn_probe(ref, labels, qry, expected) == 1.0
         wrong = (expected + 1) % 3
-        assert knn_probe(ref, labels, qry, wrong, k) == 0.0
+        assert knn_probe(ref, labels, qry, wrong) == 0.0
 
 
 def test_knn_rejects_bad_inputs():
     ref = np.zeros((2, 2))
     labels = np.zeros(2, dtype=int)
-    with pytest.raises(ValueError, match="k"):
-        knn_probe(ref, labels, ref, labels, k=0)
     with pytest.raises(ValueError, match="query"):
-        knn_probe(ref, labels, np.zeros((0, 2)), np.zeros(0, dtype=int), k=1)
+        knn_probe(ref, labels, np.zeros((0, 2)), np.zeros(0, dtype=int))
 
 
 def test_post_flow_probe_at_least_as_good_as_raw(toy_latent, toy_ds):
     model, _ = toy_latent
-    report = build_report(model, toy_ds, nfe_list=(1, 2))
+    report = build_report(model, toy_ds)
     assert report.knn_accuracy_z1hat >= report.knn_accuracy_z0
     assert report.knn_accuracy_z1hat == 1.0
 
@@ -218,14 +197,14 @@ def test_classification_knn_probe_uses_class_labels(toy_ds):
     model = lf.build_model(spec, seed=0)
     lf.train(model, ds, lf.TrainConfig(iterations=1500, batch_size=24, lr=2e-3,
                                        seed=0, log_every=100))
-    report = build_report(model, ds, nfe_list=(1,))
+    report = build_report(model, ds)
     assert report.knn_accuracy_z1hat >= report.knn_accuracy_z0
     assert report.knn_accuracy_z1hat >= 0.9
 
 
 def test_nfe_sweep_rows(toy_latent, toy_ds):
     model, _ = toy_latent
-    rows = nfe_sweep(model, toy_ds, [1, 4], include_adaptive=True)
+    rows = nfe_sweep(model, toy_ds, [1, 4])
     assert [r["nfe"] for r in rows[:2]] == [1, 4]
     adaptive = rows[-1]
     assert adaptive["solver"].startswith("dopri5")
@@ -235,7 +214,7 @@ def test_nfe_sweep_rows(toy_latent, toy_ds):
 
 def test_report_serialization(tmp_path, toy_latent, toy_ds):
     model, _ = toy_latent
-    report = build_report(model, toy_ds, nfe_list=(1, 2))
+    report = build_report(model, toy_ds)
     payload = write_report(report, tmp_path)
     loaded = json.loads((tmp_path / "report.json").read_text())
     assert loaded == payload

@@ -215,7 +215,7 @@ def test_baselines_reject_mismatched_dims(trainer):
 
 def test_rk4_node_logs_measured_nfe():
     ds = lf.toy_crossing()
-    node = build_node_baseline(2, 2, ds.task, hidden=8, depth=2, seed=0, linear_decoder=False)
+    node = build_node_baseline(2, 2, ds.task, hidden=8, depth=2, seed=0)
     log = node_baseline_train(node, ds, 3, lf.TrainConfig(
         iterations=5, batch_size=2, lr=1e-3, seed=0), method="rk4")
     assert [e.train_nfe for e in log.entries] == [12] * 5

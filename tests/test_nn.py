@@ -72,7 +72,7 @@ def test_mismatched_layer_chain_rejected():
 def test_parameter_count_formula(dims):
     mlp = Mlp.build(dims, rng=np.random.default_rng(0))
     expected = sum(dims[i + 1] * dims[i] + dims[i + 1] for i in range(len(dims) - 1))
-    assert mlp.param_count() == expected
+    assert sum(p.data.size for p in mlp.parameters()) == expected
 
 
 def test_adam_zero_gradient_keeps_parameters():

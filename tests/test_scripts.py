@@ -5,7 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def _run(script: str, *args: str) -> subprocess.CompletedProcess:
@@ -28,3 +29,11 @@ def test_synth_nfe_sweep_script(tmp_path):
         lines = (tmp_path / f"sweep_{kind}.csv").read_text().splitlines()
         assert lines[0] == "solver,nfe,rmse"
         assert len(lines) == 1 + 9  # eight Euler step counts and dopri5
+
+
+def test_benchmark_selftest():
+    # The selftest patches the benchmark's named sites (a renamed one raises),
+    # checks the train NFE invariants and emits every declared metric.
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -155,7 +155,7 @@ def test_grad_solve_single_euler_step_constant_dynamics():
     weight.data = np.zeros_like(weight.data)
 
     z1, nfe = solve_with_grad(lambda z, t: f.forward(z), Tensor(np.zeros((1, 2))),
-                              0.0, 0.5, n_steps=1)
+                              0.0, 0.5, SolverSpec.euler(1))
     grads = backward(mean_all(z1), f.parameters())
     assert nfe == 1
     assert np.allclose(grads[bias.id], np.full(2, 0.25), atol=1e-15)
@@ -164,7 +164,8 @@ def test_grad_solve_single_euler_step_constant_dynamics():
 def test_grad_solve_gradient_wrt_initial_state_of_constant_field_is_identity():
     z0 = Tensor(np.array([[0.25, -1.0]]), requires_grad=True)
     v = Tensor(np.array([[2.0, 3.0]]))
-    z1, _ = solve_with_grad(lambda z, t: v, z0, 0.0, 1.0, n_steps=4)
+    # an odd step count, so a sign error in the update's backward cannot cancel
+    z1, _ = solve_with_grad(lambda z, t: v, z0, 0.0, 1.0, SolverSpec.euler(3))
     g = backward(mean_all(z1), [z0])[z0.id]
     assert np.array_equal(g, np.full((1, 2), 0.5))  # d mean / d z1 for 2 entries
 
@@ -178,11 +179,11 @@ def test_grad_solve_matches_finite_differences(method, expected_nfe):
 
     def loss_of(_):
         z1, _nfe = solve_with_grad(lambda z, t: f.forward(z, t), Tensor(x),
-                                   0.0, 1.0, n_steps=8, method=method)
+                                   0.0, 1.0, SolverSpec(method, 8))
         return mean_all(sq_diff_rowsum(z1, Tensor(target)))
 
     _, nfe = solve_with_grad(lambda z, t: f.forward(z, t), Tensor(x), 0.0, 1.0,
-                             n_steps=8, method=method)
+                             SolverSpec(method, 8))
     assert nfe == expected_nfe
     worst = max(grad_check(loss_of, p) for p in f.parameters())
     assert worst < 1e-4
@@ -190,7 +191,5 @@ def test_grad_solve_matches_finite_differences(method, expected_nfe):
 
 def test_grad_solve_rejects_adaptive_and_bad_steps():
     with pytest.raises(ValueError, match="fixed-step"):
-        solve_with_grad(lambda z, t: z, Tensor(np.zeros((1, 1))), 0.0, 1.0, 4,
-                        method="dopri5")
-    with pytest.raises(ValueError, match="n_steps"):
-        solve_with_grad(lambda z, t: z, Tensor(np.zeros((1, 1))), 0.0, 1.0, 0)
+        solve_with_grad(lambda z, t: z, Tensor(np.zeros((1, 1))), 0.0, 1.0,
+                        SolverSpec.dopri5())
