@@ -80,12 +80,13 @@ def resolve_dataset(cfg: RunConfig) -> PairedDataset:
 
 
 def prepare_splits(cfg: RunConfig, ds: PairedDataset) -> tuple[PairedDataset, PairedDataset | None]:
-    """Optional validation split; normalization stats always come from train data."""
-    if cfg.val_split > 0.0:
-        return split(ds, 1.0 - cfg.val_split, cfg.split_seed)
+    """Optional validation split, then the config's one normalization decision;
+    normalization stats always come from train data."""
     wants_norm = cfg.standardize == "on" or (
         cfg.standardize == "auto" and not cfg.dataset.startswith("toy")
     )
+    if cfg.val_split > 0.0:
+        return split(ds, 1.0 - cfg.val_split, cfg.split_seed, normalize=wants_norm)
     return (standardize(ds) if wants_norm else ds), None
 
 
@@ -386,3 +387,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

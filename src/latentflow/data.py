@@ -264,8 +264,11 @@ def denormalize_y(ds: PairedDataset, y: np.ndarray) -> np.ndarray:
     return np.asarray(y) * ds.y_std + ds.y_mean
 
 
-def split(ds: PairedDataset, ratio: float, seed: int) -> tuple[PairedDataset, PairedDataset]:
-    """Seeded shuffle-and-split; normalization stats come from the train side only."""
+def split(ds: PairedDataset, ratio: float, seed: int,
+          normalize: bool = True) -> tuple[PairedDataset, PairedDataset]:
+    """Seeded shuffle-and-split. With ``normalize``, the train side is
+    standardized and the validation side takes the train side's stats;
+    without it, both sides keep ``ds``'s values and stats."""
     if not 0.0 < ratio < 1.0:
         raise DataError(f"split ratio must be in (0, 1), got {ratio}")
     n_train = int(ds.n * ratio)
@@ -274,6 +277,8 @@ def split(ds: PairedDataset, ratio: float, seed: int) -> tuple[PairedDataset, Pa
     perm = np.random.default_rng(seed).permutation(ds.n)
     train = ds.subset(perm[:n_train])
     val = ds.subset(perm[n_train:])
+    if not normalize:
+        return train, val
     train = standardize(train)
     val = apply_normalization(val, train.x_mean, train.x_std, train.y_mean, train.y_std)
     return train, val

@@ -1,5 +1,11 @@
 """Analysis metrics: solver disagreement, velocity cosine profiles, 1-NN probes,
-and metric-over-NFE sweeps."""
+and metric-over-NFE sweeps.
+
+``build_report`` encodes x once and runs one euler:1 and one dopri5 solve,
+shared by every diagnostic: the disagreement, the sweep's euler:1 and dopri5
+rows and the post-flow 1-NN probe. The 1-NN search is exact: it picks the same
+reference as direct distances, the first of equally near ones.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import PairedDataset
-from .model import evaluate_metric, predict
+from .model import output_metric
 from .schedules import interpolate, target_velocity
 from .solvers import SolverSpec, solve
 from .tensor import no_grad
@@ -27,13 +33,26 @@ __all__ = [
 ]
 
 _REL_GAP_TOL = 1e-2  # regression predictions closer than this count as agreeing
-_KNN_BLOCK_BYTES = 16 * 2**20  # working-set bound of one knn_probe distance block
+_KNN_BLOCK_BYTES = 16 * 2**20  # working-set bound of one knn_probe block
 # The one-step solver under test, and the adaptive solver every diagnostic
 # treats as the faithful integration of the learned field.
 _FAST = SolverSpec.euler(1)
 _REFERENCE = SolverSpec.dopri5(1e-3, 1e-3)
 _T_GRID = np.linspace(0.0, 1.0, 21)
 _NFE_LIST = (1, 2, 5, 10, 50, 100)
+
+
+def _encode(model, ds: PairedDataset) -> np.ndarray:
+    with no_grad():
+        return model.encode_data(ds.x).data
+
+
+def _solve(model, z0: np.ndarray, spec: SolverSpec) -> tuple[np.ndarray, np.ndarray, int]:
+    """z0 solved over [0, 1]: the final state, its decoded output and the NFE."""
+    with no_grad():
+        res = solve(lambda z, t: model.velocity(z, t).data, z0, 0.0, 1.0, spec)
+        z1 = res.z_final.data
+        return z1, model.decode_label(z1).data, res.nfe
 
 
 def disagreement(model, ds: PairedDataset) -> float:
@@ -46,12 +65,13 @@ def disagreement(model, ds: PairedDataset) -> float:
     """
     if ds.n < 1:
         raise ValueError("disagreement needs a nonempty dataset")
+    z0 = _encode(model, ds)
+    return _disagreement(model, _solve(model, z0, _FAST)[1], _solve(model, z0, _REFERENCE)[1])
+
+
+def _disagreement(model, a: np.ndarray, b: np.ndarray) -> float:
     if model.task.is_classification:
-        a, _ = predict(model, ds.x, _FAST)
-        b, _ = predict(model, ds.x, _REFERENCE)
-        return float(np.mean(a != b))
-    a, _ = model.predict_raw(ds.x, _FAST)
-    b, _ = model.predict_raw(ds.x, _REFERENCE)
+        return float(np.mean(np.argmax(a, axis=1) != np.argmax(b, axis=1)))
     gap = np.linalg.norm(a - b, axis=1)
     ref = np.maximum(np.linalg.norm(b, axis=1), 1e-12)
     return float(np.mean(gap / ref > _REL_GAP_TOL))
@@ -90,8 +110,15 @@ def knn_probe(ref_emb: np.ndarray, ref_labels: np.ndarray, query_emb: np.ndarray
               query_labels: np.ndarray) -> float:
     """1-NN classification accuracy in an embedding space.
 
-    Each query takes the label of its nearest reference (Euclidean); among
-    equally near references the first one wins.
+    Each query takes the label of its nearest reference, by the Euclidean
+    distance ``np.linalg.norm(q - r)``; among equally near references the
+    first one wins.
+
+    Squared distances in Gram form, |q|^2 - 2 q.r + |r|^2, take one matrix
+    product per block of queries but round differently, so they only rule
+    references out: one stays a candidate unless its Gram value exceeds the
+    row minimum by more than both forms' rounding error. A query with one
+    candidate takes it; a query with several is measured directly.
     """
     ref_emb = np.asarray(ref_emb, dtype=np.float64)
     query_emb = np.asarray(query_emb, dtype=np.float64)
@@ -101,19 +128,42 @@ def knn_probe(ref_emb: np.ndarray, ref_labels: np.ndarray, query_emb: np.ndarray
         raise ValueError("query set must be nonempty")
     ref_labels = np.asarray(ref_labels, dtype=int)
     query_labels = np.asarray(query_labels, dtype=int)
+    n_ref, d = ref_emb.shape
 
-    # Distances are computed for a block of query rows at a time, so the
-    # [rows, r, d] difference tensor stays near _KNN_BLOCK_BYTES whatever q is.
-    # Each distance depends only on its own (query, reference) pair, so the
-    # values do not depend on the block size.
-    per_row = ref_emb.shape[0] * max(ref_emb.shape[1], 1) * ref_emb.itemsize
-    block = max(1, _KNN_BLOCK_BYTES // per_row)
+    # With u = 2^-53, a Gram value is within (2d + 4) u (|q|^2 + |r|^2) of the
+    # exact squared distance D, and the square of a direct distance within
+    # (d + 4) u D of it, so a direct distance can be the row's smallest only
+    # if its D exceeds the smallest D by under (2d + 8) u times that D.
+    # np.finfo.tiny per term covers underflow. rel is twice the larger factor,
+    # which also covers the rounding of the limit itself, so every reference
+    # at the minimal direct distance stays a candidate.
+    rel = 4 * (d + 4) * (np.finfo(np.float64).eps / 2)
+    floor = (d + 1) * np.finfo(np.float64).tiny
+    ref_sq = np.einsum("ij,ij->i", ref_emb, ref_emb)
+    ref_sq_max = ref_sq.max()
+    block = max(1, _KNN_BLOCK_BYTES // (9 * n_ref))  # the Gram block and its mask
+    # direct distances as the [rows, r, d] difference tensor
+    direct_rows = max(1, _KNN_BLOCK_BYTES // (n_ref * max(d, 1) * ref_emb.itemsize))
     correct = 0
     for start in range(0, query_emb.shape[0], block):
-        diffs = query_emb[start: start + block, None, :] - ref_emb[None, :, :]
-        dist = np.linalg.norm(diffs, axis=2)
-        del diffs
-        nearest = np.argmin(dist, axis=1)
+        q = query_emb[start: start + block]
+        q_sq = np.einsum("ij,ij->i", q, q)
+        gram = q @ ref_emb.T
+        gram *= -2.0
+        gram += q_sq[:, None]
+        gram += ref_sq
+        slack = rel * (q_sq + ref_sq_max) + floor
+        limit = (1.0 + rel) * (gram.min(axis=1) + slack) + slack
+        keep = gram > limit[:, None]
+        del gram
+        np.logical_not(keep, out=keep)  # a NaN keeps its whole row
+        nearest = np.argmax(keep, axis=1)  # the first candidate
+        tied = np.flatnonzero(np.count_nonzero(keep, axis=1) > 1)
+        del keep
+        for lo in range(0, tied.size, direct_rows):
+            rows = tied[lo: lo + direct_rows]
+            dist = np.linalg.norm(q[rows, None, :] - ref_emb[None, :, :], axis=2)
+            nearest[rows] = np.argmin(dist, axis=1)
         correct += int(np.count_nonzero(ref_labels[nearest] == query_labels[start: start + block]))
     return correct / query_emb.shape[0]
 
@@ -121,12 +171,16 @@ def knn_probe(ref_emb: np.ndarray, ref_labels: np.ndarray, query_emb: np.ndarray
 def nfe_sweep(model, ds: PairedDataset, nfe_list) -> list[dict]:
     """Evaluation metric per Euler step count, then a dopri5 entry reporting
     its measured NFE."""
+    return _nfe_sweep(model, ds, _encode(model, ds), nfe_list, {})
+
+
+def _nfe_sweep(model, ds: PairedDataset, z0: np.ndarray, nfe_list, solved: dict) -> list[dict]:
+    """``solved`` maps the specs already solved from z0 to their _solve results."""
     rows = []
-    for n in nfe_list:
-        metric, nfe = evaluate_metric(model, ds, SolverSpec.euler(int(n)))
-        rows.append({"solver": f"euler:{int(n)}", "nfe": nfe, "metric": metric})
-    metric, nfe = evaluate_metric(model, ds, _REFERENCE)
-    rows.append({"solver": _REFERENCE.label(), "nfe": nfe, "metric": metric})
+    for spec in [SolverSpec.euler(int(n)) for n in nfe_list] + [_REFERENCE]:
+        _, out, nfe = solved[spec] if spec in solved else _solve(model, z0, spec)
+        metric = output_metric(model.task, ds, out)
+        rows.append({"solver": spec.label(), "nfe": nfe, "metric": metric})
     return rows
 
 
@@ -148,43 +202,44 @@ class DiagnosticsReport:
         }
 
 
-def _knn_pair(model, ds: PairedDataset) -> tuple[float, float]:
+def _knn_pair(model, ds: PairedDataset, z0: np.ndarray, z1hat: np.ndarray) -> tuple[float, float]:
     """1-NN probes in the raw-embedding and post-flow spaces.
 
     Classification: the dataset is split into alternating reference/query
-    halves and class labels are probed in z0 space and in solved-z1 space.
-    Regression: each sample's query embedding is matched against the label
-    embeddings g(y); accuracy is the fraction that retrieve their own pair,
-    before the flow (z0) and after it (z1hat).
+    halves and class labels are probed in z0 space and in dopri5-solved z1
+    space. Regression: each sample's query embedding is matched against the
+    label embeddings g(y); accuracy is the fraction that retrieve their own
+    pair, before the flow (z0) and after it (z1hat).
     """
-    with no_grad():
-        z0 = model.encode_data(ds.x).data
-        res = solve(lambda z, t: model.velocity(z, t).data, z0, 0.0, 1.0, _REFERENCE)
-        z1hat = res.z_final.data
-        if model.task.is_classification:
-            labels = np.argmax(ds.y, axis=1)
-            ref = np.arange(ds.n) % 2 == 0
-            qry = ~ref
-            if not qry.any():
-                ref = qry = np.ones(ds.n, dtype=bool)
-            acc0 = knn_probe(z0[ref], labels[ref], z0[qry], labels[qry])
-            acc1 = knn_probe(z1hat[ref], labels[ref], z1hat[qry], labels[qry])
-            return acc0, acc1
-        anchors = model.encode_label(ds.y).data
-        pair_ids = np.arange(ds.n)
-        acc0 = knn_probe(anchors, pair_ids, z0, pair_ids)
-        acc1 = knn_probe(anchors, pair_ids, z1hat, pair_ids)
+    if model.task.is_classification:
+        labels = np.argmax(ds.y, axis=1)
+        ref = np.arange(ds.n) % 2 == 0
+        qry = ~ref
+        if not qry.any():
+            ref = qry = np.ones(ds.n, dtype=bool)
+        acc0 = knn_probe(z0[ref], labels[ref], z0[qry], labels[qry])
+        acc1 = knn_probe(z1hat[ref], labels[ref], z1hat[qry], labels[qry])
         return acc0, acc1
+    with no_grad():
+        anchors = model.encode_label(ds.y).data
+    pair_ids = np.arange(ds.n)
+    acc0 = knn_probe(anchors, pair_ids, z0, pair_ids)
+    acc1 = knn_probe(anchors, pair_ids, z1hat, pair_ids)
+    return acc0, acc1
 
 
 def build_report(model, ds: PairedDataset) -> DiagnosticsReport:
-    acc0, acc1 = _knn_pair(model, ds)
+    """Every diagnostic of ``model`` on ``ds``, sharing one encode of x and one
+    euler:1 and one dopri5 solve."""
+    z0 = _encode(model, ds)
+    fast, reference = _solve(model, z0, _FAST), _solve(model, z0, _REFERENCE)
+    acc0, acc1 = _knn_pair(model, ds, z0, reference[0])
     return DiagnosticsReport(
-        disagreement_fraction=disagreement(model, ds),
+        disagreement_fraction=_disagreement(model, fast[1], reference[1]),
         cosine_profile=velocity_cosine_profile(model, ds, _T_GRID),
         knn_accuracy_z0=acc0,
         knn_accuracy_z1hat=acc1,
-        nfe_sweep=nfe_sweep(model, ds, _NFE_LIST),
+        nfe_sweep=_nfe_sweep(model, ds, z0, _NFE_LIST, {_FAST: fast, _REFERENCE: reference}),
     )
 
 

@@ -48,6 +48,7 @@ __all__ = [
     "fit",
     "train",
     "evaluate_metric",
+    "output_metric",
     "rmse",
     "mse",
     "accuracy",
@@ -243,13 +244,18 @@ def accuracy(pred_idx: np.ndarray, target_onehot: np.ndarray) -> float:
     return float(np.mean(pred_idx == np.argmax(target_onehot, axis=1)))
 
 
+def output_metric(task: TaskKind, ds: PairedDataset, out: np.ndarray) -> float:
+    """RMSE in original units for regression, accuracy for classification, of
+    the raw decoder outputs ``out`` for the rows of ``ds``."""
+    if task.is_classification:
+        return accuracy(np.argmax(out, axis=1), ds.y)
+    return rmse(denormalize_y(ds, out), denormalize_y(ds, ds.y))
+
+
 def evaluate_metric(model, ds: PairedDataset, solver_spec: SolverSpec) -> tuple[float, int]:
-    """RMSE in original units for regression, accuracy for classification."""
-    if model.task.is_classification:
-        pred, nfe = predict(model, ds.x, solver_spec)
-        return accuracy(pred, ds.y), nfe
+    """``output_metric`` of the model's predictions at ``solver_spec``, and the NFE."""
     out, res = model.predict_raw(ds.x, solver_spec)
-    return rmse(denormalize_y(ds, out), denormalize_y(ds, ds.y)), res.nfe
+    return output_metric(model.task, ds, out), res.nfe
 
 
 @dataclass

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +127,37 @@ def test_zero_iterations_writes_empty_log(tmp_path):
     assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert (out / "train_log.jsonl").read_text() == ""
     assert (out / "checkpoint.json").is_file()
+
+
+@pytest.mark.parametrize("standardize", ["off", "auto"])  # auto skips the toy datasets
+def test_validation_split_keeps_the_standardize_decision(tmp_path, standardize):
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(f"dataset = toy_control\nval_split = 0.25\nstandardize = {standardize}\n"
+                        "iterations = 2\nbatch_size = 4\neval_interval = 1\n")
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["dims"]["n_val"] == 1
+    assert manifest["normalization"] == {"x_mean": [0.0, 0.0], "x_std": [1.0, 1.0],
+                                         "y_mean": [0.0, 0.0], "y_std": [1.0, 1.0]}
+
+
+@pytest.mark.parametrize("module", ["latentflow", "latentflow.cli"])
+def test_module_entry_points_run_the_cli(tmp_path, module):
+    src = str(Path(latentflow.cli.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", module, *args], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    helped = run("--help")
+    assert helped.returncode == 0, helped.stderr
+    assert "diagnose" in helped.stdout
+    missing = run("diagnose", "--checkpoint", str(tmp_path / "absent"))
+    assert missing.returncode == 2, missing.stderr
+    assert "no manifest.json" in missing.stderr
 
 
 def test_failed_train_leaves_run_directory_as_it_was(tmp_path, monkeypatch):

@@ -139,34 +139,43 @@ def test_knn_separated_clusters():
     assert acc == 1.0
 
 
-def _knn_predictions_unchunked(ref_emb, ref_labels, query_emb):
-    """Reference: the whole [q, r, d] distance matrix at once; the first of
-    equally near references in a stable sort wins."""
+def _knn_predictions_unchunked(ref_emb, query_emb):
+    """Reference: nearest-reference indices from the whole [q, r, d] distance
+    matrix at once; the first of equally near references in a stable sort wins."""
     dist = np.linalg.norm(query_emb[:, None, :] - ref_emb[None, :, :], axis=2)
-    return ref_labels[np.argsort(dist, axis=1, kind="stable")[:, 0]]
+    return np.argsort(dist, axis=1, kind="stable")[:, 0]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
+    case=st.sampled_from(["grid", "near_duplicate", "offset"]),
     n_ref=st.integers(min_value=1, max_value=12),
     n_query=st.integers(min_value=1, max_value=12),
-    d=st.integers(min_value=1, max_value=3),
-    block_rows=st.integers(min_value=1, max_value=13),
+    d=st.integers(min_value=1, max_value=12),
+    block_bytes=st.integers(min_value=1, max_value=4096) | st.just(diagnostics._KNN_BLOCK_BYTES),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_knn_blocked_matches_unchunked_reference(n_ref, n_query, d, block_rows, seed):
-    # coordinates on a coarse integer grid and few labels, so equal distances
-    # between differently labelled references are common
+def test_knn_blocked_matches_unchunked_reference(case, n_ref, n_query, d, block_bytes, seed):
+    # Coordinates on a coarse integer grid make equal distances common. As
+    # 1e-15 steps around one point, every distance is far below the Gram
+    # form's rounding error; around a common offset of about 1e6, the Gram
+    # form cancels to a few significant digits. Labels are reference indices,
+    # so a probe accuracy of 1 means every chosen index equals the reference's.
     rng = np.random.default_rng(seed)
     ref = rng.integers(-2, 3, size=(n_ref, d)).astype(float)
     qry = rng.integers(-2, 3, size=(n_query, d)).astype(float)
-    labels = rng.integers(0, 3, size=n_ref)
-    expected = _knn_predictions_unchunked(ref, labels, qry)
-    block_bytes = block_rows * n_ref * d * 8
+    if case == "near_duplicate":
+        base = rng.standard_normal(d)
+        ref, qry = base + 1e-15 * ref, base + 1e-15 * qry
+    elif case == "offset":
+        offset = 1e6 * (1.0 + rng.random(d))
+        ref, qry = ref + offset, qry + offset
+    expected = _knn_predictions_unchunked(ref, qry)
+    ids = np.arange(n_ref)
     with mock.patch.object(diagnostics, "_KNN_BLOCK_BYTES", block_bytes):
-        assert knn_probe(ref, labels, qry, expected) == 1.0
-        wrong = (expected + 1) % 3
-        assert knn_probe(ref, labels, qry, wrong) == 0.0
+        assert knn_probe(ref, ids, qry, expected) == 1.0
+        if n_ref > 1:
+            assert knn_probe(ref, ids, qry, (expected + 1) % n_ref) == 0.0
 
 
 def test_knn_rejects_bad_inputs():
@@ -210,6 +219,18 @@ def test_nfe_sweep_rows(toy_latent, toy_ds):
     assert adaptive["solver"].startswith("dopri5")
     assert adaptive["nfe"] >= 7  # one accepted first-same-as-last step minimum
     assert all(np.isfinite(r["metric"]) for r in rows)
+
+
+def test_build_report_shares_one_solve_per_solver(toy_latent, toy_ds):
+    # Every dynamics call is one of: the sweep's Euler steps (whose euler:1 row
+    # is also the disagreement's fast side), one dopri5 solve shared by the
+    # sweep, the disagreement and the z1hat probe, and the cosine profile's grid.
+    model, _ = toy_latent
+    calls = model.dynamics.calls
+    report = build_report(model, toy_ds)
+    dopri5_nfe = report.nfe_sweep[-1]["nfe"]
+    assert model.dynamics.calls - calls == (sum(diagnostics._NFE_LIST) + dopri5_nfe
+                                            + len(diagnostics._T_GRID))
 
 
 def test_report_serialization(tmp_path, toy_latent, toy_ds):
