@@ -19,7 +19,7 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config, train_config_from
 from .data import (
     DataError,
     PairedDataset,
@@ -34,7 +34,6 @@ from .data import (
 from .diagnostics import build_report, write_report
 from .model import (
     ModelSpec,
-    TrainConfig,
     TrainingAbort,
     build_direct_fm,
     build_model,
@@ -101,22 +100,6 @@ def model_spec_from(cfg: RunConfig, ds: PairedDataset) -> ModelSpec:
         enc_depth=cfg.enc_depth,
         dyn_hidden=cfg.dyn_hidden,
         dyn_depth=cfg.dyn_depth,
-    )
-
-
-def train_config_from(cfg: RunConfig) -> TrainConfig:
-    return TrainConfig(
-        iterations=cfg.iterations,
-        batch_size=cfg.batch_size,
-        lr=cfg.lr,
-        lr_schedule=cfg.lr_schedule,
-        p_zero=cfg.t_zero_prob,
-        sigma=cfg.label_noise_std,
-        seed=cfg.seed,
-        eval_interval=cfg.eval_interval,
-        patience=cfg.patience,
-        eval_solver=SolverSpec.parse(cfg.solver),
-        log_every=cfg.log_every,
     )
 
 
@@ -192,7 +175,7 @@ def cmd_train(args) -> int:
     try:
         save_model(tmp["checkpoint.json"], model)
         tmp["train_log.jsonl"].write_text("".join(
-            json.dumps(entry.to_dict(), sort_keys=True) + "\n" for entry in train_log.entries))
+            json.dumps(dataclasses.asdict(e), sort_keys=True) + "\n" for e in train_log.entries))
         tmp["manifest.json"].write_text(json.dumps(manifest, indent=2, sort_keys=True))
         for name, path in tmp.items():
             os.replace(path, out_dir / name)
@@ -218,10 +201,11 @@ class DimensionMismatch(RuntimeError):
     pass
 
 
-def _dataset_for_manifest(manifest: dict, args, spec: ModelSpec) -> PairedDataset:
+def _dataset_for_manifest(manifest: dict, args,
+                          spec: ModelSpec) -> tuple[PairedDataset, RunConfig]:
     """Resolve the dataset named on the command line (or in the manifest),
     check its dims against the checkpoint, then apply the training-time
-    normalization stats."""
+    normalization stats. Also returns the validated, overridden config."""
     cfg = RunConfig(**manifest["config"])
     cfg = _apply_overrides(cfg, args)
     cfg.validate()
@@ -232,17 +216,15 @@ def _dataset_for_manifest(manifest: dict, args, spec: ModelSpec) -> PairedDatase
             f"({spec.d_x}, {spec.d_y})"
         )
     norm = manifest["normalization"]
-    return apply_normalization(ds, norm["x_mean"], norm["x_std"], norm["y_mean"], norm["y_std"])
+    ds = apply_normalization(ds, norm["x_mean"], norm["x_std"], norm["y_mean"], norm["y_std"])
+    return ds, cfg
 
 
 def cmd_eval(args) -> int:
     checkpoint_dir = Path(args.checkpoint)
     model, manifest = _load_checkpointed_model(checkpoint_dir)
-    ds = _dataset_for_manifest(manifest, args, model.spec)
-    solver = SolverSpec.parse(args.solver) if args.solver else SolverSpec.parse(
-        manifest["config"]["solver"]
-    )
-    metric, nfe = evaluate_metric(model, ds, solver)
+    ds, cfg = _dataset_for_manifest(manifest, args, model.spec)
+    metric, nfe = evaluate_metric(model, ds, SolverSpec.parse(cfg.solver))
     print(json.dumps({"metric": metric, "nfe_mean": float(nfe)}, sort_keys=True, allow_nan=False))
     return 0
 
@@ -250,7 +232,7 @@ def cmd_eval(args) -> int:
 def cmd_diagnose(args) -> int:
     checkpoint_dir = Path(args.checkpoint)
     model, manifest = _load_checkpointed_model(checkpoint_dir)
-    ds = _dataset_for_manifest(manifest, args, model.spec)
+    ds, _ = _dataset_for_manifest(manifest, args, model.spec)
     report = build_report(model, ds)
     out_dir = Path(args.out) if args.out else checkpoint_dir
     payload = write_report(report, out_dir)

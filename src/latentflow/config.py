@@ -17,10 +17,11 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .model import TrainConfig
 from .schedules import SCHEDULES
 from .solvers import SolverSpec
 
-__all__ = ["ConfigError", "RunConfig", "parse_config_text", "load_config"]
+__all__ = ["ConfigError", "RunConfig", "parse_config_text", "load_config", "train_config_from"]
 
 
 class ConfigError(ValueError):
@@ -32,7 +33,7 @@ class RunConfig:
     # dataset: "toy" | "toy_control" | "csv:<path>" | "synth:<n>,<d_x>[,<seed>]"
     dataset: str = "toy"
     task: str = "regression"
-    num_classes: int = 0  # 0 = infer from csv labels
+    num_classes: int = 0  # 0 = infer from csv labels; csv classification only
     x_cols: str = ""
     y_cols: str = ""
     standardize: str = "auto"  # auto = on except for toy datasets
@@ -60,6 +61,8 @@ class RunConfig:
     node_lr: float = 0.0  # 0 = reuse lr; the unrolled baseline often needs its own rate
 
     def validate(self) -> "RunConfig":
+        """Check every value; the trainer and solver settings are checked by
+        building them, so each of their rules lives in one place."""
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
@@ -70,22 +73,22 @@ class RunConfig:
         for name in _AT_LEAST_ZERO:
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
         if not 0.0 <= self.t_zero_prob <= 1.0:
             raise ConfigError(f"t_zero_prob must be in [0, 1], got {self.t_zero_prob}")
         if self.schedule not in SCHEDULES:
             raise ConfigError(f"unknown schedule {self.schedule!r}; expected one of {sorted(SCHEDULES)}")
         if self.task not in ("regression", "classification"):
             raise ConfigError(f"unknown task {self.task!r}")
+        if self.task == "classification" and not self.dataset.startswith("csv:"):
+            raise ConfigError(f"task = classification needs a csv dataset, got {self.dataset!r}")
+        if self.num_classes > 0 and self.task != "classification":
+            raise ConfigError(f"num_classes = {self.num_classes} needs task = classification")
         if self.standardize not in ("auto", "on", "off"):
             raise ConfigError(f"standardize must be auto|on|off, got {self.standardize!r}")
-        if self.lr_schedule not in ("cosine", "constant"):
-            raise ConfigError(f"unknown lr_schedule {self.lr_schedule!r}")
         if not 0.0 <= self.val_split < 1.0:
             raise ConfigError(f"val_split must be in [0, 1), got {self.val_split}")
         try:
-            SolverSpec.parse(self.solver)
+            train_config_from(self)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         self.dataset_source()
@@ -127,11 +130,26 @@ class RunConfig:
 
 
 _FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-_AT_LEAST_ONE = ("enc_hidden", "enc_depth", "dyn_hidden", "dyn_depth", "batch_size",
-                 "eval_interval", "patience", "log_every", "node_steps")
+_AT_LEAST_ONE = ("enc_hidden", "enc_depth", "dyn_hidden", "dyn_depth", "node_steps")
 # node_lr = 0 and latent_dim = 0 select defaults; seeds must be >= 0 for numpy
-_AT_LEAST_ZERO = ("num_classes", "split_seed", "latent_dim", "iterations", "label_noise_std",
-                  "seed", "node_lr")
+_AT_LEAST_ZERO = ("num_classes", "split_seed", "latent_dim", "label_noise_std", "seed", "node_lr")
+
+
+def train_config_from(cfg: RunConfig) -> TrainConfig:
+    """The trainer settings of ``cfg``; raises ValueError for an invalid one."""
+    return TrainConfig(
+        iterations=cfg.iterations,
+        batch_size=cfg.batch_size,
+        lr=cfg.lr,
+        lr_schedule=cfg.lr_schedule,
+        p_zero=cfg.t_zero_prob,
+        sigma=cfg.label_noise_std,
+        seed=cfg.seed,
+        eval_interval=cfg.eval_interval,
+        patience=cfg.patience,
+        eval_solver=SolverSpec.parse(cfg.solver),
+        log_every=cfg.log_every,
+    )
 
 
 def _is_file(path: Path) -> bool:

@@ -273,12 +273,14 @@ class TrainConfig:
     log_every: int = 1
 
     def __post_init__(self):
-        if self.iterations < 0 or self.batch_size < 1 or not self.lr > 0:
-            raise ValueError("iterations must be >= 0, batch_size >= 1, lr > 0")
-        if self.eval_interval < 1 or self.patience < 1 or self.log_every < 1:
-            raise ValueError("eval_interval, patience and log_every must be >= 1")
+        for name, low in (("iterations", 0), ("batch_size", 1), ("eval_interval", 1),
+                          ("patience", 1), ("log_every", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
         if self.lr_schedule not in ("cosine", "constant"):
-            raise ValueError(f"unknown lr schedule {self.lr_schedule!r}")
+            raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
 
     def lr_at(self, step: int) -> float:
         if self.lr_schedule == "constant":
@@ -307,16 +309,6 @@ class LogEntry:
     val_metric: float | None = None
     train_nfe: int = 1
 
-    def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "lr": self.lr,
-            "flow_loss": self.flow_loss,
-            "ae_loss": self.ae_loss,
-            "val_metric": self.val_metric,
-            "train_nfe": self.train_nfe,
-        }
-
 
 @dataclass
 class TrainLog:
@@ -338,8 +330,9 @@ def _batch_indices(rng: np.random.Generator, n: int, batch_size: int) -> np.ndar
     return rng.choice(n, size=batch_size, replace=False)
 
 
-def _lower_is_better(task: TaskKind, metric: float) -> float:
-    return metric if not task.is_classification else 1.0 - metric
+def _improves(task: TaskKind, metric: float, best: float | None) -> bool:
+    """Whether ``metric`` beats ``best``: higher accuracy, lower error."""
+    return best is None or (metric > best if task.is_classification else metric < best)
 
 
 def fit(model: LatentFlowModel, loss_fn: LossFn, train_ds: PairedDataset,
@@ -367,7 +360,7 @@ def fit(model: LatentFlowModel, loss_fn: LossFn, train_ds: PairedDataset,
 
     entries: list[LogEntry] = []
     best_snapshot: list[np.ndarray] | None = None
-    best_score: float | None = None
+    best_val: float | None = None
     bad_rounds = 0
     stopped_early = False
     steps = total_nfe = 0
@@ -390,9 +383,8 @@ def fit(model: LatentFlowModel, loss_fn: LossFn, train_ds: PairedDataset,
         val_metric = None
         if val_ds is not None and (step + 1) % cfg.eval_interval == 0:
             val_metric, _ = evaluate_metric(model, val_ds, cfg.eval_solver)
-            score = _lower_is_better(model.task, val_metric)
-            if best_score is None or score < best_score:
-                best_score = score
+            if _improves(model.task, val_metric, best_val):
+                best_val = val_metric
                 best_snapshot = [p.data.copy() for p in params]
                 bad_rounds = 0
             else:
@@ -406,9 +398,6 @@ def fit(model: LatentFlowModel, loss_fn: LossFn, train_ds: PairedDataset,
     if best_snapshot is not None:
         for p, snap in zip(params, best_snapshot):
             p.data = snap
-    best_val = None
-    if best_score is not None:
-        best_val = (1.0 - best_score) if model.task.is_classification else best_score
     return TrainLog(entries, stopped_early=stopped_early, best_val=best_val,
                     final_train_nfe_per_step=total_nfe / max(steps, 1))
 

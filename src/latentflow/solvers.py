@@ -5,6 +5,10 @@ adaptive Dormand-Prince 5(4); every call to the field increments the NFE
 counter. ``solve_with_grad`` unrolls a fixed-step solve on the autodiff tape
 so gradients of the discretized solution are exact (discretize-then-optimize).
 
+``solve`` runs Euler/RK4 through ``solve_with_grad``'s loop, the only one, with
+RK4's increment summed as ((k1 + 2 k2) + 2 k3) + k4, and checks finiteness once
+at the end: a non-finite entry stays non-finite through every z + c k update.
+
 NFE identities (tested exactly): Euler with n steps costs n evaluations, RK4
 costs 4n, and dopri5 with first-same-as-last stage reuse costs
 1 + 6 * (accepted + rejected).
@@ -18,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor, combine
+from .tensor import Tensor, as_tensor, combine, no_grad
 
 __all__ = ["SolverSpec", "SolveResult", "SolverError", "solve", "solve_with_grad"]
 
@@ -117,11 +121,6 @@ def _rms(v: np.ndarray) -> float:
 _NONFINITE = "NaN or infinite state encountered during integration"
 
 
-def _check_state(z: np.ndarray) -> None:
-    if not np.isfinite(z).all():
-        raise SolverError(_NONFINITE)
-
-
 def solve(f: Callable[[np.ndarray, float], np.ndarray], z0, t0: float, t1: float,
           spec: SolverSpec) -> SolveResult:
     """Integrate dz/dt = f(z, t) from t0 to t1.
@@ -131,31 +130,14 @@ def solve(f: Callable[[np.ndarray, float], np.ndarray], z0, t0: float, t1: float
     """
     if not t0 < t1:
         raise ValueError(f"need t0 < t1, got {t0} >= {t1}")
-    z = np.ascontiguousarray(z0, dtype=np.float64).copy()
-    if spec.kind == "euler":
-        return _fixed_step(f, z, t0, t1, spec.n_steps, stages=1)
-    if spec.kind == "rk4":
-        return _fixed_step(f, z, t0, t1, spec.n_steps, stages=4)
-    return _dopri5(f, z, t0, t1, spec.rtol, spec.atol)
-
-
-def _fixed_step(f, z, t0, t1, n, stages):
-    h = (t1 - t0) / n
-    nfe = 0
-    for i in range(n):
-        t = t0 + i * h
-        if stages == 1:
-            z = z + h * f(z, t)
-            nfe += 1
-        else:
-            k1 = f(z, t)
-            k2 = f(z + 0.5 * h * k1, t + 0.5 * h)
-            k3 = f(z + 0.5 * h * k2, t + 0.5 * h)
-            k4 = f(z + h * k3, t + h)
-            z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            nfe += 4
-        _check_state(z)
-    return SolveResult(Tensor(z), nfe, accepted_steps=n, rejected_steps=0)
+    z = np.ascontiguousarray(z0, dtype=np.float64)
+    if spec.kind == "dopri5":
+        return _dopri5(f, z, t0, t1, spec.rtol, spec.atol)
+    with no_grad():
+        z_final, nfe = solve_with_grad(lambda zt, t: f(zt.data, t), z, t0, t1, spec)
+    if not np.isfinite(z_final.data).all():
+        raise SolverError(_NONFINITE)
+    return SolveResult(z_final, nfe, accepted_steps=spec.n_steps, rejected_steps=0)
 
 
 def _initial_step(z, k1, t0, t1, rtol, atol) -> float:
@@ -216,11 +198,12 @@ def _dopri5(f, z, t0, t1, rtol, atol):
 
 def solve_with_grad(f: Callable[[Tensor, float], Tensor], z0, t0: float, t1: float,
                     spec: SolverSpec) -> tuple[Tensor, int]:
-    """Fixed-step solve unrolled on the autodiff tape.
+    """Fixed-step solve unrolled on the autodiff tape: the one Euler/RK4 loop.
 
     Gradients w.r.t. the field's parameters and z0 are the exact gradients of
-    the discretized solution. Adaptive stepping is rejected: backpropagation
-    through step-size control is not supported.
+    the discretized solution. RK4 sums ((k1 + 2 k2) + 2 k3) + k4; ``solve``
+    checks the final state's finiteness. Adaptive stepping is rejected:
+    backpropagation through step-size control is not supported.
     """
     if spec.kind == "dopri5":
         raise ValueError(f"solve_with_grad supports fixed-step euler/rk4 only, got {spec.label()}")
@@ -239,7 +222,7 @@ def solve_with_grad(f: Callable[[Tensor, float], Tensor], z0, t0: float, t1: flo
             k2 = f(combine(z, k1, 1.0, 0.5 * h), t + 0.5 * h)
             k3 = f(combine(z, k2, 1.0, 0.5 * h), t + 0.5 * h)
             k4 = f(combine(z, k3, 1.0, h), t + h)
-            incr = combine(combine(k1, combine(k2, k3, 1.0, 1.0), 1.0, 2.0), k4, 1.0, 1.0)
+            incr = combine(combine(combine(k1, k2, 1.0, 2.0), k3, 1.0, 2.0), k4, 1.0, 1.0)
             z = combine(z, incr, 1.0, h / 6.0)
             nfe += 4
     return z, nfe

@@ -89,6 +89,8 @@ def test_unknown_solver_string_exits_2(tmp_path):
     "dataset = synth:5,0",
     "seed = -1",
     "solver = dopri5:nan",
+    "task = classification",
+    "num_classes = 3",
     pytest.param("dataset = csv:" + "a" * 300, id="csv path too long for the file system"),
 ])
 def test_out_of_range_config_value_exits_2(tmp_path, line):

@@ -202,6 +202,17 @@ def test_node_early_stopping_restores_best_checkpoint():
     assert restored_metric == log.best_val
 
 
+def test_classification_best_val_is_the_observed_accuracy(monkeypatch):
+    # an accuracy below 0.5 came back as 1 - (1 - 0.1) = 0.09999999999999998
+    monkeypatch.setattr("latentflow.model.evaluate_metric", lambda *args: (0.1, 1))
+    x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    ds = PairedDataset(x, np.eye(2)[[0, 1, 1, 0]], TaskKind.classification(2))
+    spec = lf.ModelSpec(d_x=2, d_y=2, task=ds.task, enc_hidden=8, dyn_hidden=8, dyn_depth=2)
+    cfg = lf.TrainConfig(iterations=2, batch_size=4, seed=0, eval_interval=1)
+    log = lf.train(lf.build_model(spec, seed=0), ds, cfg, ds)
+    assert log.best_val == 0.1
+
+
 @pytest.mark.parametrize("trainer", ["direct_fm", "node"])
 def test_baselines_reject_mismatched_dims(trainer):
     bad = lf.synth_regression(8, 3, seed=0)  # d_x=3, d_y=1

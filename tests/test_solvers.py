@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from latentflow.nn import Mlp
 from latentflow.solvers import SolveResult, SolverError, SolverSpec, solve, solve_with_grad
-from latentflow.tensor import Tensor, backward, grad_check, mean_all, sq_diff_rowsum
+from latentflow.tensor import Tensor, backward, grad_check, mean_all, no_grad, sq_diff_rowsum
 
 EXP_MINUS_ONE = 0.36787944117144233  # closed-form solution of z' = -z at t = 1
 
@@ -193,3 +193,17 @@ def test_grad_solve_rejects_adaptive_and_bad_steps():
     with pytest.raises(ValueError, match="fixed-step"):
         solve_with_grad(lambda z, t: z, Tensor(np.zeros((1, 1))), 0.0, 1.0,
                         SolverSpec.dopri5())
+
+
+@pytest.mark.parametrize("text", ["euler:3", "rk4:3"])
+def test_solve_steps_the_same_bits_as_the_grad_solve(text):
+    # one fixed-step loop: inference and training integrate identically
+    rng = np.random.default_rng(7)
+    f = Mlp.build([3, 8, 3], activation="tanh", time_conditioned=True, rng=rng, name="f")
+    z0 = rng.uniform(-1.0, 1.0, size=(5, 3))
+    spec = SolverSpec.parse(text)
+    res = solve(lambda z, t: f.forward(z, t).data, z0, 0.0, 1.0, spec)
+    with no_grad():
+        z1, nfe = solve_with_grad(lambda z, t: f.forward(z, t), Tensor(z0), 0.0, 1.0, spec)
+    assert np.array_equal(res.z_final.data, z1.data)
+    assert res.nfe == nfe
