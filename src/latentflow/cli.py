@@ -14,10 +14,13 @@ import io
 import json
 import logging
 import os
+import platform
 import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from .config import ConfigError, RunConfig, load_config, train_config_from
 from .data import (
@@ -112,6 +115,20 @@ def _normalization_dict(ds: PairedDataset) -> dict:
     }
 
 
+def _environment() -> dict:
+    """Python, numpy and BLAS versions: the BLAS sets the last bits of every product.
+
+    The BLAS reads "unknown" where numpy cannot name it (``show_config`` takes
+    ``mode`` only from numpy 1.26 on), so provenance never fails a finished run.
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_name = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):
+        blas_name = "unknown"
+    return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas_name}
+
+
 def _load_run_config(args) -> RunConfig:
     return _apply_overrides(load_config(args.config), args).validate()
 
@@ -161,6 +178,7 @@ def cmd_train(args) -> int:
             "n_val": val_ds.n if val_ds is not None else 0,
         },
         "seed": cfg.seed,
+        "environment": _environment(),
         "final_metrics": final,
         "timing": {"started_at": started, "wall_clock_sec": wall},
     }

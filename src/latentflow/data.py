@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -171,8 +172,9 @@ def load_csv(path, x_cols: list[str], y_cols: list[str],
     ``task`` is a TaskKind or one of the strings "regression" /
     "classification" (the latter infers the class count). For classification,
     y_cols must be a single column of integer class indices in [0, k); labels
-    are one-hot encoded. Cell errors are reported with 1-based data row
-    numbers and column names.
+    are one-hot encoded. Non-numeric and missing cells are reported with
+    1-based data row numbers and column names; a file that is not UTF-8 raises
+    ``DataError`` naming the file.
     """
     if isinstance(task, str):
         want_classification = task == "classification"
@@ -182,31 +184,36 @@ def load_csv(path, x_cols: list[str], y_cols: list[str],
     else:
         want_classification = task.is_classification
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        index = {name: i for i, name in enumerate(header)}
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not valid UTF-8") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    index = {name: i for i, name in enumerate(header)}
+    for col in list(x_cols) + list(y_cols):
+        if col not in index:
+            raise DataError(f"{path}: missing column {col!r}")
+    rows = []
+    for row_num, row in enumerate(reader, start=1):
+        if not row:
+            continue
+        rec = []
         for col in list(x_cols) + list(y_cols):
-            if col not in index:
-                raise DataError(f"{path}: missing column {col!r}")
-        rows = []
-        for row_num, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            rec = []
-            for col in list(x_cols) + list(y_cols):
-                cell = row[index[col]].strip()
-                try:
-                    rec.append(float(cell))
-                except ValueError:
-                    raise DataError(
-                        f"{path}: non-numeric cell {cell!r} at row {row_num}, column {col!r}"
-                    ) from None
-            rows.append(rec)
+            if index[col] >= len(row):
+                raise DataError(f"{path}: row {row_num} has no cell for column {col!r}")
+            cell = row[index[col]].strip()
+            try:
+                rec.append(float(cell))
+            except ValueError:
+                raise DataError(
+                    f"{path}: non-numeric cell {cell!r} at row {row_num}, column {col!r}"
+                ) from None
+        rows.append(rec)
     if not rows:
         raise DataError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=np.float64)

@@ -72,7 +72,9 @@ class Mlp:
     every layer, held in the last column of its weight, so each layer's input
     width includes one extra slot.
     ``calls`` counts forward invocations (one per batched evaluation), which
-    is how dynamics-function evaluations are accounted.
+    is how dynamics-function evaluations are accounted. A ``solve`` that
+    splits its rows into blocks calls the field once per block, so ``calls``
+    then goes up once per block for each evaluation its NFE counts.
     """
 
     def __init__(self, layers: Sequence[LinearLayer], activation: str = "tanh",

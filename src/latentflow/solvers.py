@@ -9,9 +9,18 @@ so gradients of the discretized solution are exact (discretize-then-optimize).
 RK4's increment summed as ((k1 + 2 k2) + 2 k3) + k4, and checks finiteness once
 at the end: a non-finite entry stays non-finite through every z + c k update.
 
-NFE identities (tested exactly): Euler with n steps costs n evaluations, RK4
-costs 4n, and dopri5 with first-same-as-last stage reuse costs
-1 + 6 * (accepted + rejected).
+``solve``'s field must be row-wise: row i of f(z, t) depends only on row i of
+z. A 2-D state of more than ``_BLOCK_ROWS`` (1,024) rows is split into
+contiguous blocks of 512 to 1,024 rows, so each step's temporaries stay in
+cache. Euler/RK4 integrate one block at a time through every step; dopri5
+keeps one step control over all rows and evaluates each stage block by block.
+On OpenBLAS 0.3.31 a row of a matrix product has the same bits for every row
+count of at least 256, so there the split leaves every result unchanged; a
+trained run's manifest records its BLAS.
+
+NFE identities (tested exactly, counted per row, not per block call): Euler
+with n steps costs n evaluations, RK4 costs 4n, and dopri5 with
+first-same-as-last stage reuse costs 1 + 6 * (accepted + rejected).
 """
 
 from __future__ import annotations
@@ -120,24 +129,63 @@ def _rms(v: np.ndarray) -> float:
 
 _NONFINITE = "NaN or infinite state encountered during integration"
 
+# A block's working set (a few [1024, 64] float64 arrays, about 1.5 MB) fits a
+# 2 MB per-core L2 cache; larger blocks stream every step's temporaries
+# through memory. Measured on a 20,000-row euler:100 eval with 64 hidden
+# units: 512 and 1,024 rows within 1.5%, 2,048 3% and 4,096 15% slower.
+_BLOCK_ROWS = 1024
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Split n rows into ceil(n / _BLOCK_ROWS) contiguous, nearly equal blocks.
+
+    Sizes differ by at most one row, larger blocks first, as ``np.array_split``
+    makes them; with more than _BLOCK_ROWS rows no block has fewer than 512.
+    """
+    count = max(1, -(-n // _BLOCK_ROWS))
+    size, extra = divmod(n, count)
+    bounds = [i * size + min(i, extra) for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _blockwise(f, blocks: list):
+    """``f`` evaluated block by block into one array of the full state's shape."""
+    if len(blocks) == 1:
+        return f
+
+    def field(z, t):
+        k = np.empty_like(z)
+        for rows in blocks:
+            k[rows] = f(z[rows], t)
+        return k
+    return field
+
 
 def solve(f: Callable[[np.ndarray, float], np.ndarray], z0, t0: float, t1: float,
           spec: SolverSpec) -> SolveResult:
     """Integrate dz/dt = f(z, t) from t0 to t1.
 
-    ``f`` maps (state array, time) to a velocity array of the same shape and
-    must be pure.
+    ``f`` maps (state array, time) to a velocity array of the same shape, must
+    be pure, and must be row-wise: row i of its output depends only on row i
+    of the state. A 2-D state of more than 1,024 rows is solved in blocks of
+    512 to 1,024 rows, so ``f`` is called once per block per evaluation; the
+    returned NFE counts evaluations per row.
     """
     if not t0 < t1:
         raise ValueError(f"need t0 < t1, got {t0} >= {t1}")
     z = np.ascontiguousarray(z0, dtype=np.float64)
+    blocks = _row_blocks(len(z)) if z.ndim == 2 else [...]  # other shapes: one block
     if spec.kind == "dopri5":
-        return _dopri5(f, z, t0, t1, spec.rtol, spec.atol)
+        return _dopri5(_blockwise(f, blocks), z, t0, t1, spec.rtol, spec.atol)
+    field = lambda zt, t: f(zt.data, t)
+    out = np.empty_like(z)
     with no_grad():
-        z_final, nfe = solve_with_grad(lambda zt, t: f(zt.data, t), z, t0, t1, spec)
-    if not np.isfinite(z_final.data).all():
+        for rows in blocks:
+            block, nfe = solve_with_grad(field, z[rows], t0, t1, spec)
+            out[rows] = block.data
+    if not np.isfinite(out).all():
         raise SolverError(_NONFINITE)
-    return SolveResult(z_final, nfe, accepted_steps=spec.n_steps, rejected_steps=0)
+    return SolveResult(Tensor(out), nfe, accepted_steps=spec.n_steps, rejected_steps=0)
 
 
 def _initial_step(z, k1, t0, t1, rtol, atol) -> float:

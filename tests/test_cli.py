@@ -211,6 +211,26 @@ def test_trained_run_layout(trained_run):
     assert "timing" in manifest
 
 
+def test_manifest_records_environment(trained_run):
+    # blocked and whole-array solves agree bit for bit only on a given BLAS
+    manifest = json.loads((trained_run / "manifest.json").read_text())
+    env = manifest["environment"]
+    assert set(env) == {"python", "numpy", "blas"}
+    assert env["numpy"] == np.__version__
+    assert env["python"] == ".".join(map(str, sys.version_info[:3]))
+
+
+@pytest.mark.parametrize("show_config", [
+    lambda **kw: (_ for _ in ()).throw(TypeError("unexpected keyword 'mode'")),  # numpy < 1.26
+    lambda **kw: {"Build Dependencies": {}},  # a build that names no BLAS
+])
+def test_environment_without_a_blas_entry_reads_unknown(monkeypatch, show_config):
+    monkeypatch.setattr(np, "show_config", show_config)
+    env = latentflow.cli._environment()
+    assert env["blas"] == "unknown"
+    assert env["numpy"] == np.__version__
+
+
 def test_eval_prints_json_only(trained_run, capsys):
     code = main(["eval", "--checkpoint", str(trained_run), "--solver", "euler:1"])
     assert code == 0

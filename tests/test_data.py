@@ -95,6 +95,20 @@ def test_load_csv_reports_bad_cell_location(tmp_path):
         load_csv(path, ["a", "b"], ["t"], TaskKind.regression())
 
 
+def test_load_csv_reports_short_row_location(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("a,b,t\n1,2,3\n4,5\n")
+    with pytest.raises(DataError, match=r"row 2 has no cell for column 't'"):
+        load_csv(path, ["a", "b"], ["t"], TaskKind.regression())
+
+
+def test_load_csv_rejects_invalid_utf8(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"a,t\n1,2\n\xff\xfe,3\n")
+    with pytest.raises(DataError, match=r"d\.csv: not valid UTF-8"):
+        load_csv(path, ["a"], ["t"], TaskKind.regression())
+
+
 def test_load_csv_missing_column(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("a,b\n1,2\n")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from latentflow import solvers
 from latentflow.nn import Mlp
 from latentflow.solvers import SolveResult, SolverError, SolverSpec, solve, solve_with_grad
 from latentflow.tensor import Tensor, backward, grad_check, mean_all, no_grad, sq_diff_rowsum
@@ -207,3 +208,75 @@ def test_solve_steps_the_same_bits_as_the_grad_solve(text):
         z1, nfe = solve_with_grad(lambda z, t: f.forward(z, t), Tensor(z0), 0.0, 1.0, spec)
     assert np.array_equal(res.z_final.data, z1.data)
     assert res.nfe == nfe
+
+
+def _latent_field(seed: int = 3):
+    # the synth-sized dynamics network: latent 34, hidden 64, time-conditioned
+    f = Mlp.build([34, 64, 64, 34], activation="tanh", time_conditioned=True,
+                  rng=np.random.default_rng(seed), name="h")
+    return f, lambda z, t: f.forward(z, t).data
+
+
+@pytest.mark.parametrize("text", ["euler:7", "rk4:3"])
+def test_blocked_solve_equals_whole_array_grad_solve(text):
+    # 2,049 rows split into three blocks of 683; every row keeps its bits.
+    # This pins a BLAS property as well as the solver's: on OpenBLAS 0.3.31 a
+    # row of a matrix product has the same bits for every row count of at
+    # least 256. A BLAS whose kernels depend on the row count fails this test
+    # with a correct solver (the manifest's "environment" names the BLAS).
+    f, field = _latent_field()
+    z0 = np.random.default_rng(11).uniform(-1.0, 1.0, size=(2049, 34))
+    spec = SolverSpec.parse(text)
+    res = solve(field, z0, 0.0, 1.0, spec)
+    with no_grad():
+        z1, nfe = solve_with_grad(lambda z, t: f.forward(z, t), Tensor(z0), 0.0, 1.0, spec)
+    assert np.array_equal(res.z_final.data, z1.data)
+    assert res.nfe == nfe
+
+
+def test_blocked_dopri5_keeps_one_step_control(monkeypatch):
+    # array_equal across 683- and 2,049-row products: the same OpenBLAS
+    # property as the test above.
+    _, field = _latent_field()
+    z0 = np.random.default_rng(12).uniform(-1.0, 1.0, size=(2049, 34))
+    spec = SolverSpec.dopri5(1e-5, 1e-5)
+    blocked = solve(field, z0, 0.0, 1.0, spec)
+    monkeypatch.setattr(solvers, "_BLOCK_ROWS", z0.shape[0])  # one block: all rows at once
+    whole = solve(field, z0, 0.0, 1.0, spec)
+    assert np.array_equal(blocked.z_final.data, whole.z_final.data)
+    assert (blocked.nfe, blocked.accepted_steps, blocked.rejected_steps) == (
+        whole.nfe, whole.accepted_steps, whole.rejected_steps)
+    assert blocked.accepted_steps > 1
+
+
+@pytest.mark.parametrize("text", ["euler:3", "rk4:2", "dopri5"])
+@pytest.mark.parametrize("rows, blocks", [(2049, 3), (1024, 1)])
+def test_field_is_called_once_per_block_per_evaluation(text, rows, blocks):
+    calls = [0]
+
+    def field(z, t):
+        calls[0] += 1
+        return -z
+
+    res = solve(field, np.ones((rows, 2)), 0.0, 1.0, SolverSpec.parse(text))
+    assert calls[0] == blocks * res.nfe
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(min_value=1, max_value=50_000))
+def test_row_blocks_tile_rows_in_nearly_equal_bounded_blocks(n):
+    blocks = solvers._row_blocks(n)
+    assert [i for rows in blocks for i in range(n)[rows]] == list(range(n))
+    sizes = [rows.stop - rows.start for rows in blocks]
+    assert max(sizes) - min(sizes) <= 1
+    assert max(sizes) <= 1024
+    if n > 1024:
+        assert min(sizes) >= 512
+
+
+@pytest.mark.parametrize("spec", ["euler:2", "rk4:1", "dopri5"])
+def test_overflow_in_last_block_raises(spec):
+    z0 = np.full((2049, 2), 0.5)
+    z0[-1] = 1e200  # z * |z| overflows in this row only
+    with pytest.raises(SolverError, match="infinite"):
+        solve(lambda z, t: z * np.abs(z), z0, 0.0, 1.0, SolverSpec.parse(spec))
