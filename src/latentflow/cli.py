@@ -48,7 +48,9 @@ from .model import (
     node_baseline_train,
     save_model,
     train,
+    write_run_files,
 )
+from .nn import CheckpointError
 from .solvers import SolverError, SolverSpec
 
 log = logging.getLogger("latentflow")
@@ -183,24 +185,14 @@ def cmd_train(args) -> int:
         "timing": {"started_at": started, "wall_clock_sec": wall},
     }
 
-    # Every file is written under a temporary name, then renamed into place
-    # with the manifest last, so a failed run leaves no half-written file and
-    # an existing run directory keeps its previous files.
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tmp = {name: out_dir / f".{name}.tmp"
-           for name in ("checkpoint.json", "train_log.jsonl", "manifest.json")}
-    try:
-        save_model(tmp["checkpoint.json"], model)
-        tmp["train_log.jsonl"].write_text("".join(
-            json.dumps(dataclasses.asdict(e), sort_keys=True) + "\n" for e in train_log.entries))
-        tmp["manifest.json"].write_text(json.dumps(manifest, indent=2, sort_keys=True))
-        for name, path in tmp.items():
-            os.replace(path, out_dir / name)
-    finally:
-        for path in tmp.values():
-            path.unlink(missing_ok=True)
-    log.info("wrote checkpoint, manifest and log to %s", out_dir)
+    # the manifest goes into place last
+    write_run_files(cfg.out, {
+        "checkpoint.json": lambda path: save_model(path, model),
+        "train_log.jsonl": lambda path: path.write_text("".join(
+            json.dumps(dataclasses.asdict(e), sort_keys=True) + "\n" for e in train_log.entries)),
+        "manifest.json": lambda path: path.write_text(json.dumps(manifest, indent=2, sort_keys=True)),
+    })
+    log.info("wrote checkpoint, manifest and log to %s", cfg.out)
     return 0
 
 
@@ -208,7 +200,13 @@ def _load_checkpointed_model(checkpoint_dir: Path):
     manifest_path = checkpoint_dir / "manifest.json"
     if not manifest_path.is_file():
         raise ConfigError(f"no manifest.json under {checkpoint_dir}")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise CheckpointError(f"{manifest_path}: not valid JSON ({exc})") from None
+    for key in ("config", "model_spec", "normalization"):
+        if key not in manifest:
+            raise CheckpointError(f"{manifest_path}: missing key {key!r}")
     spec = ModelSpec.from_dict(manifest["model_spec"])
     model = build_model(spec, manifest.get("seed", 0))
     load_model_params(checkpoint_dir / "checkpoint.json", model)
@@ -313,9 +311,8 @@ def _format_table(table: dict) -> str:
 def cmd_compare(args) -> int:
     cfg = _load_run_config(args)
     table = run_comparison(cfg)
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "comparison.json").write_text(json.dumps(table, indent=2, sort_keys=True))
+    write_run_files(cfg.out, {"comparison.json": lambda path: path.write_text(
+        json.dumps(table, indent=2, sort_keys=True))})
     print(json.dumps(table, sort_keys=True, allow_nan=False))
     print(_format_table(table), file=sys.stderr)
     return 0
@@ -377,7 +374,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataError) as exc:
+    except (ConfigError, DataError, CheckpointError) as exc:
         log.error("%s", exc)
         return 2
     except (TrainingAbort, SolverError, DimensionMismatch) as exc:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import PairedDataset
-from .model import output_metric
+from .model import output_metric, write_run_files
 from .schedules import interpolate, target_velocity
 from .solvers import SolverSpec, solve
 from .tensor import no_grad
@@ -243,20 +243,22 @@ def build_report(model, ds: PairedDataset) -> DiagnosticsReport:
     )
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def write_report(report: DiagnosticsReport, out_dir) -> dict:
-    """Write report.json plus CSVs for the cosine profile and the NFE sweep."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Write report.json plus CSVs for the cosine profile and the NFE sweep,
+    all three in place only once all are written."""
     payload = report.to_dict()
-    (out_dir / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
-    with (out_dir / "cosine_profile.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "mean_cosine"])
-        for t, c in report.cosine_profile:
-            w.writerow([repr(t), repr(c)])
-    with (out_dir / "nfe_sweep.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["nfe", "metric"])
-        for row in report.nfe_sweep:
-            w.writerow([row["nfe"], repr(row["metric"])])
+    write_run_files(out_dir, {
+        "report.json": lambda path: path.write_text(json.dumps(payload, indent=2, sort_keys=True)),
+        "cosine_profile.csv": lambda path: _write_csv(
+            path, ["t", "mean_cosine"], ([repr(t), repr(c)] for t, c in report.cosine_profile)),
+        "nfe_sweep.csv": lambda path: _write_csv(
+            path, ["nfe", "metric"], ([row["nfe"], repr(row["metric"])] for row in report.nfe_sweep)),
+    })
     return payload

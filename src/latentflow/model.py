@@ -22,13 +22,15 @@ column maps (`ColumnMap`) and their own loss; all three train through `fit`:
 from __future__ import annotations
 
 import dataclasses
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from .data import PairedDataset, TaskKind, denormalize_y
-from .nn import AdamState, ColumnMap, Mlp, adam_step, cosine_lr
+from .nn import AdamState, CheckpointError, ColumnMap, Mlp, adam_step, cosine_lr
 from .objectives import LossBreakdown, TimeSampler, flow_loss, total_loss
 from .schedules import Schedule, get_schedule
 from .solvers import SolveResult, SolverSpec, solve, solve_with_grad
@@ -199,6 +201,26 @@ def build_node_baseline(d_x: int, d_y: int, task: TaskKind, hidden: int = 64,
     return LatentFlowModel(spec, ColumnMap(d_x, d_x), ColumnMap(d_y, d_x), decoder, dynamics)
 
 
+def write_run_files(out_dir, writers: dict[str, Callable[[Path], None]]) -> None:
+    """Write each named file of ``out_dir`` through its writer, atomically.
+
+    Every writer writes a temporary name; only when all have returned are the
+    files renamed into place, in the order given. So a writer that raises
+    leaves no temporary file and every existing file as it was.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    tmp = {name: out_dir / f".{name}.tmp" for name in writers}
+    try:
+        for name, write in writers.items():
+            write(tmp[name])
+        for name, path in tmp.items():
+            os.replace(path, out_dir / name)
+    finally:
+        for path in tmp.values():
+            path.unlink(missing_ok=True)
+
+
 def save_model(path, model: LatentFlowModel) -> None:
     from .nn import save_checkpoint
 
@@ -211,11 +233,11 @@ def load_model_params(path, model: LatentFlowModel) -> None:
     loaded = load_checkpoint(path)
     for name, p in model.named_parameters():
         if name not in loaded:
-            raise ValueError(f"checkpoint is missing parameter {name!r}")
+            raise CheckpointError(f"{path}: missing parameter {name!r}")
         arr = loaded[name]
         if arr.shape != p.data.shape:
-            raise ValueError(
-                f"checkpoint parameter {name!r} has shape {arr.shape}, expected {p.data.shape}"
+            raise CheckpointError(
+                f"{path}: parameter {name!r} has shape {arr.shape}, expected {p.data.shape}"
             )
         p.data = arr
 

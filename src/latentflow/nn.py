@@ -19,6 +19,7 @@ __all__ = [
     "ColumnMap",
     "AdamState",
     "OptimizerError",
+    "CheckpointError",
     "adam_step",
     "cosine_lr",
     "save_checkpoint",
@@ -258,17 +259,42 @@ def cosine_lr(step: int, total: int, base: float) -> float:
     return base * 0.5 * (1.0 + math.cos(math.pi * step / total))
 
 
-# Checkpoints are flat (name, shape, values) records. Values are written as
-# C99 hex floats so the 64-bit round trip is bit-exact.
+class CheckpointError(ValueError):
+    """A checkpoint or run-manifest file that cannot be read; names the file."""
+
+
+# Checkpoints are flat (name, shape, values) records. A parameter's values are
+# one hex string of its float64 bytes in big-endian order (format
+# f64be-hex-v1), so the 64-bit round trip is bit-exact and each parameter
+# decodes with one bytes.fromhex. Files of the earlier format hexfloat-v1,
+# one C99 hex float per value, still load.
+
+_FORMAT = "f64be-hex-v1"
+
+
+def _decode_f64be_hex(values, shape) -> np.ndarray:
+    n = math.prod(shape)
+    if not isinstance(values, str) or len(values) != 16 * n:
+        raise ValueError(f"values are not {16 * n} hex digits for shape {shape}")
+    # whitespace that fromhex skips leaves too few bytes for the reshape
+    return np.frombuffer(bytes.fromhex(values), ">f8").astype(np.float64).reshape(shape)
+
+
+def _decode_hexfloat(values, shape) -> np.ndarray:
+    return np.array([float.fromhex(v) for v in values], dtype=np.float64).reshape(shape)
+
+
+_DECODERS = {_FORMAT: _decode_f64be_hex, "hexfloat-v1": _decode_hexfloat}
+
 
 def save_checkpoint(path, named_params: Sequence[tuple[str, Tensor]]) -> None:
     payload = {
-        "format": "hexfloat-v1",
+        "format": _FORMAT,
         "params": [
             {
                 "name": name,
                 "shape": list(p.shape),
-                "values": [v.hex() for v in p.data.reshape(-1).tolist()],
+                "values": p.data.astype(">f8").tobytes().hex(),
             }
             for name, p in named_params
         ],
@@ -277,11 +303,18 @@ def save_checkpoint(path, named_params: Sequence[tuple[str, Tensor]]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format") != "hexfloat-v1":
-        raise ValueError(f"unsupported checkpoint format in {path}")
+    """Parameter arrays by name, as writable native-order float64 copies."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise CheckpointError(f"{path}: not valid JSON ({exc})") from None
+    decode = _DECODERS.get(payload.get("format")) if isinstance(payload, dict) else None
+    if decode is None:
+        raise CheckpointError(f"unsupported checkpoint format in {path}")
     out = {}
     for rec in payload["params"]:
-        arr = np.array([float.fromhex(v) for v in rec["values"]], dtype=np.float64)
-        out[rec["name"]] = arr.reshape(rec["shape"])
+        try:
+            out[rec["name"]] = decode(rec["values"], rec["shape"])
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: parameter {rec['name']!r}: {exc}") from None
     return out

@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import logging
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import latentflow.cli
 from latentflow.cli import main, train_config_from
 from latentflow.config import ConfigError, RunConfig, load_config, parse_config_text
+from latentflow.nn import load_checkpoint
 from latentflow.solvers import SolverError
 
 TOY_TRAIN_CFG = """\
@@ -262,6 +265,64 @@ def test_eval_dimension_mismatch_exits_1(trained_run, tmp_path):
     finally:
         (trained_run / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     assert code == 1
+
+
+def _edit_json(path, edit):
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+
+
+def _truncate(path):
+    path.write_text(path.read_text()[:200])
+
+
+def _as_hexfloat_v1_with_bad_value(path):
+    payload = {"format": "hexfloat-v1", "params": [
+        {"name": name, "shape": list(arr.shape), "values": [v.hex() for v in arr.reshape(-1).tolist()]}
+        for name, arr in load_checkpoint(path).items()]}
+    payload["params"][0]["values"][3] = "0x1.8p+zz"
+    path.write_text(json.dumps(payload))
+
+
+def _edit_first_values(edit):
+    return lambda path: _edit_json(path, lambda payload: payload["params"][0].update(
+        values=edit(payload["params"][0]["values"])))
+
+
+_FIRST_PARAM = "f.enc.0.weight"
+# case -> (file, how it is broken, the parameter the error names)
+_MALFORMED = {
+    "truncated manifest": ("manifest.json", _truncate, None),
+    "manifest without normalization": (
+        "manifest.json", lambda path: _edit_json(path, lambda m: m.pop("normalization")), None),
+    "truncated checkpoint": ("checkpoint.json", _truncate, None),
+    "checkpoint without a parameter": (
+        "checkpoint.json", lambda path: _edit_json(path, lambda c: c["params"].pop(0)), _FIRST_PARAM),
+    "mis-shaped parameter": (
+        "checkpoint.json",
+        lambda path: _edit_json(path, lambda c: c["params"][0]["shape"].reverse()), _FIRST_PARAM),
+    "hexfloat-v1 value not a hex float": ("checkpoint.json", _as_hexfloat_v1_with_bad_value,
+                                          _FIRST_PARAM),
+    "values not hex": ("checkpoint.json", _edit_first_values(lambda v: "zz" + v[2:]), _FIRST_PARAM),
+    "values of the wrong length": ("checkpoint.json", _edit_first_values(lambda v: v[:-2]),
+                                   _FIRST_PARAM),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_malformed_run_directory_exits_2_naming_the_file(trained_run, tmp_path, caplog, case):
+    name, malform, param = _MALFORMED[case]
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    malform(run / name)
+    with caplog.at_level(logging.ERROR, logger="latentflow"):
+        assert main(["eval", "--checkpoint", str(run)]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and len(errors[0].splitlines()) == 1
+    assert str(run / name) in errors[0]
+    if param is not None:
+        assert repr(param) in errors[0]
 
 
 def test_diagnose_writes_report_and_prints_json(trained_run, tmp_path, capsys):

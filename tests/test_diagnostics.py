@@ -10,6 +10,7 @@ import latentflow as lf
 from latentflow.data import PairedDataset, TaskKind
 import latentflow.diagnostics as diagnostics
 from latentflow.diagnostics import (
+    DiagnosticsReport,
     build_report,
     disagreement,
     knn_probe,
@@ -252,3 +253,18 @@ def test_report_serialization(tmp_path, toy_latent, toy_ds):
         rows = list(csv.reader(fh))
     assert rows[0] == ["nfe", "metric"]
     assert len(rows) - 1 == len(report.nfe_sweep)
+
+
+def test_failed_report_write_leaves_previous_report_and_no_temporary_file(tmp_path, toy_latent,
+                                                                          toy_ds):
+    model, _ = toy_latent
+    report = build_report(model, toy_ds)
+    write_report(report, tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert before["nfe_sweep.csv"].startswith(b"nfe,metric\r\n")  # csv's own line ends
+    # the sweep CSV is rendered last; a row without a metric fails it
+    broken = DiagnosticsReport(**{**vars(report), "nfe_sweep": [{"nfe": 1}]})
+    with pytest.raises(KeyError):
+        write_report(broken, tmp_path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
