@@ -5,7 +5,7 @@ embedding space, with ODE-solver inference, an unrolled-solver baseline, and
 the diagnostic metrics used to analyse trajectory straightness.
 """
 
-from .data import PairedDataset, TaskKind, load_csv, one_hot, split, synth_regression, toy_crossing
+from .data import PairedDataset, TaskKind, load_csv, split, synth_regression, toy_crossing
 from .diagnostics import DiagnosticsReport, build_report, disagreement, knn_probe, nfe_sweep, velocity_cosine_profile
 from .model import (
     LatentFlowModel,
@@ -19,7 +19,6 @@ from .model import (
     evaluate_metric,
     fit,
     node_baseline_train,
-    predict,
     train,
 )
 from .nn import AdamState, ColumnMap, LinearLayer, Mlp, adam_step, cosine_lr

@@ -36,6 +36,7 @@ from .data import (
 )
 from .diagnostics import build_report, write_report
 from .model import (
+    LatentFlowModel,
     ModelSpec,
     TrainingAbort,
     build_direct_fm,
@@ -196,61 +197,53 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_checkpointed_model(checkpoint_dir: Path):
+class DimensionMismatch(RuntimeError):
+    pass
+
+
+def _load_run(args) -> tuple[LatentFlowModel, PairedDataset, RunConfig]:
+    """The model of the run directory ``args.checkpoint``, and the dataset named
+    on the command line (or in the run's config) with its dims checked against
+    the checkpoint and the training-time normalization applied. Also returns
+    the validated, overridden config."""
+    checkpoint_dir = Path(args.checkpoint)
     manifest_path = checkpoint_dir / "manifest.json"
     if not manifest_path.is_file():
         raise ConfigError(f"no manifest.json under {checkpoint_dir}")
     try:
         manifest = json.loads(manifest_path.read_text())
+        spec = ModelSpec.from_dict(manifest["model_spec"])
+        cfg = RunConfig(**manifest["config"])
+        norm = [manifest["normalization"][k] for k in ("x_mean", "x_std", "y_mean", "y_std")]
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"{manifest_path}: not valid JSON ({exc})") from None
-    for key in ("config", "model_spec", "normalization"):
-        if key not in manifest:
-            raise CheckpointError(f"{manifest_path}: missing key {key!r}")
-    spec = ModelSpec.from_dict(manifest["model_spec"])
+    except KeyError as exc:
+        raise CheckpointError(f"{manifest_path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{manifest_path}: {exc}") from None
     model = build_model(spec, manifest.get("seed", 0))
     load_model_params(checkpoint_dir / "checkpoint.json", model)
-    return model, manifest
-
-
-class DimensionMismatch(RuntimeError):
-    pass
-
-
-def _dataset_for_manifest(manifest: dict, args,
-                          spec: ModelSpec) -> tuple[PairedDataset, RunConfig]:
-    """Resolve the dataset named on the command line (or in the manifest),
-    check its dims against the checkpoint, then apply the training-time
-    normalization stats. Also returns the validated, overridden config."""
-    cfg = RunConfig(**manifest["config"])
-    cfg = _apply_overrides(cfg, args)
-    cfg.validate()
+    _apply_overrides(cfg, args).validate()
     ds = resolve_dataset(cfg)
     if ds.d_x != spec.d_x or ds.d_y != spec.d_y:
         raise DimensionMismatch(
             f"dataset dims ({ds.d_x}, {ds.d_y}) do not match checkpoint dims "
             f"({spec.d_x}, {spec.d_y})"
         )
-    norm = manifest["normalization"]
-    ds = apply_normalization(ds, norm["x_mean"], norm["x_std"], norm["y_mean"], norm["y_std"])
-    return ds, cfg
+    return model, apply_normalization(ds, *norm), cfg
 
 
 def cmd_eval(args) -> int:
-    checkpoint_dir = Path(args.checkpoint)
-    model, manifest = _load_checkpointed_model(checkpoint_dir)
-    ds, cfg = _dataset_for_manifest(manifest, args, model.spec)
+    model, ds, cfg = _load_run(args)
     metric, nfe = evaluate_metric(model, ds, SolverSpec.parse(cfg.solver))
     print(json.dumps({"metric": metric, "nfe_mean": float(nfe)}, sort_keys=True, allow_nan=False))
     return 0
 
 
 def cmd_diagnose(args) -> int:
-    checkpoint_dir = Path(args.checkpoint)
-    model, manifest = _load_checkpointed_model(checkpoint_dir)
-    ds, _ = _dataset_for_manifest(manifest, args, model.spec)
+    model, ds, _ = _load_run(args)
     report = build_report(model, ds)
-    out_dir = Path(args.out) if args.out else checkpoint_dir
+    out_dir = Path(args.out) if args.out else Path(args.checkpoint)
     payload = write_report(report, out_dir)
     print(json.dumps(payload, sort_keys=True, allow_nan=False))
     log.info("wrote diagnostics to %s", out_dir)

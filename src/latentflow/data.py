@@ -13,7 +13,6 @@ __all__ = [
     "TaskKind",
     "PairedDataset",
     "DataError",
-    "one_hot",
     "toy_crossing",
     "load_csv",
     "split",
@@ -140,14 +139,6 @@ class PairedDataset:
         return replace(self, x=self.x[idx], y=self.y[idx])
 
 
-def one_hot(label: int, k: int) -> np.ndarray:
-    if not 0 <= label < k:
-        raise DataError(f"label {label} outside [0, {k})")
-    v = np.zeros(k)
-    v[label] = 1.0
-    return v
-
-
 def toy_crossing(crossing: bool = True) -> PairedDataset:
     """Four-pair 2-D regression task whose straight chords all intersect.
 
@@ -228,8 +219,10 @@ def load_csv(path, x_cols: list[str], y_cols: list[str],
             raise DataError("class indices must be non-negative integers")
         idx = raw.astype(int)
         k = task.num_classes if task.is_classification else int(idx.max()) + 1
+        if idx.max() >= k:
+            raise DataError(f"label {idx[idx >= k][0]} outside [0, {k})")
         task = TaskKind.classification(k)
-        y = np.stack([one_hot(int(i), k) for i in idx])
+        y = np.eye(k)[idx]
     return PairedDataset(x, y, task)
 
 

@@ -1,10 +1,11 @@
 """Analysis metrics: solver disagreement, velocity cosine profiles, 1-NN probes,
 and metric-over-NFE sweeps.
 
-``build_report`` encodes x once and runs one euler:1 and one dopri5 solve,
-shared by every diagnostic: the disagreement, the sweep's euler:1 and dopri5
-rows and the post-flow 1-NN probe. The 1-NN search is exact: it picks the same
-reference as direct distances, the first of equally near ones.
+Every solve goes through the model's one inference path, ``model.embed`` and
+``model.flow``. ``build_report`` embeds x once and flows it once at euler:1 and
+once at dopri5, shared by every diagnostic: the disagreement, the sweep's
+euler:1 and dopri5 rows and the post-flow 1-NN probe. The 1-NN search is exact:
+it picks the same reference as direct distances, the first of equally near ones.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .data import PairedDataset
 from .model import output_metric, write_run_files
 from .schedules import interpolate, target_velocity
-from .solvers import SolverSpec, solve
+from .solvers import SolverSpec, solve  # noqa: F401  perfbench's patch site; ROADMAP item 4 ends it
 from .tensor import no_grad
 
 __all__ = [
@@ -42,19 +43,6 @@ _T_GRID = np.linspace(0.0, 1.0, 21)
 _NFE_LIST = (1, 2, 5, 10, 50, 100)
 
 
-def _encode(model, ds: PairedDataset) -> np.ndarray:
-    with no_grad():
-        return model.encode_data(ds.x).data
-
-
-def _solve(model, z0: np.ndarray, spec: SolverSpec) -> tuple[np.ndarray, np.ndarray, int]:
-    """z0 solved over [0, 1]: the final state, its decoded output and the NFE."""
-    with no_grad():
-        res = solve(lambda z, t: model.velocity(z, t).data, z0, 0.0, 1.0, spec)
-        z1 = res.z_final.data
-        return z1, model.decode_label(z1).data, res.nfe
-
-
 def disagreement(model, ds: PairedDataset) -> float:
     """Fraction of samples whose one-step prediction differs from the adaptive one.
 
@@ -65,8 +53,8 @@ def disagreement(model, ds: PairedDataset) -> float:
     """
     if ds.n < 1:
         raise ValueError("disagreement needs a nonempty dataset")
-    z0 = _encode(model, ds)
-    return _disagreement(model, _solve(model, z0, _FAST)[1], _solve(model, z0, _REFERENCE)[1])
+    z0 = model.embed(ds.x)
+    return _disagreement(model, model.flow(z0, _FAST)[0], model.flow(z0, _REFERENCE)[0])
 
 
 def _disagreement(model, a: np.ndarray, b: np.ndarray) -> float:
@@ -171,16 +159,16 @@ def knn_probe(ref_emb: np.ndarray, ref_labels: np.ndarray, query_emb: np.ndarray
 def nfe_sweep(model, ds: PairedDataset, nfe_list) -> list[dict]:
     """Evaluation metric per Euler step count, then a dopri5 entry reporting
     its measured NFE."""
-    return _nfe_sweep(model, ds, _encode(model, ds), nfe_list, {})
+    return _nfe_sweep(model, ds, model.embed(ds.x), nfe_list, {})
 
 
 def _nfe_sweep(model, ds: PairedDataset, z0: np.ndarray, nfe_list, solved: dict) -> list[dict]:
-    """``solved`` maps the specs already solved from z0 to their _solve results."""
+    """``solved`` maps the specs already flowed from z0 to their ``model.flow`` results."""
     rows = []
     for spec in [SolverSpec.euler(int(n)) for n in nfe_list] + [_REFERENCE]:
-        _, out, nfe = solved[spec] if spec in solved else _solve(model, z0, spec)
+        out, res = solved[spec] if spec in solved else model.flow(z0, spec)
         metric = output_metric(model.task, ds, out)
-        rows.append({"solver": spec.label(), "nfe": nfe, "metric": metric})
+        rows.append({"solver": spec.label(), "nfe": res.nfe, "metric": metric})
     return rows
 
 
@@ -229,13 +217,13 @@ def _knn_pair(model, ds: PairedDataset, z0: np.ndarray, z1hat: np.ndarray) -> tu
 
 
 def build_report(model, ds: PairedDataset) -> DiagnosticsReport:
-    """Every diagnostic of ``model`` on ``ds``, sharing one encode of x and one
-    euler:1 and one dopri5 solve."""
-    z0 = _encode(model, ds)
-    fast, reference = _solve(model, z0, _FAST), _solve(model, z0, _REFERENCE)
-    acc0, acc1 = _knn_pair(model, ds, z0, reference[0])
+    """Every diagnostic of ``model`` on ``ds``, sharing one embedding of x and
+    one euler:1 and one dopri5 flow."""
+    z0 = model.embed(ds.x)
+    fast, reference = model.flow(z0, _FAST), model.flow(z0, _REFERENCE)
+    acc0, acc1 = _knn_pair(model, ds, z0, reference[1].z_final.data)
     return DiagnosticsReport(
-        disagreement_fraction=_disagreement(model, fast[1], reference[1]),
+        disagreement_fraction=_disagreement(model, fast[0], reference[0]),
         cosine_profile=velocity_cosine_profile(model, ds, _T_GRID),
         knn_accuracy_z0=acc0,
         knn_accuracy_z1hat=acc1,

@@ -15,8 +15,11 @@ column maps (`ColumnMap`) and their own loss; all three train through `fit`:
   endpoints (f and g pad to max(d_x, d_y), d keeps the first d_y columns), and
   fails whenever the data-space chords cross;
 - the unrolled NODE keeps its state in data space (f is the identity) and
-  backpropagates a supervised loss through a fixed-step solve, at n_steps
-  dynamics evaluations per step for Euler (4x for RK4).
+  backpropagates a supervised loss through an n_steps Euler solve, at n_steps
+  dynamics evaluations per step.
+
+`LatentFlowModel.flow` is the one inference path: `eval`, `train`'s
+validation and final metrics, `compare` and `diagnose` all solve through it.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ __all__ = [
     "build_model",
     "save_model",
     "load_model_params",
-    "predict",
     "TrainConfig",
     "TrainingAbort",
     "LogEntry",
@@ -147,16 +149,21 @@ class LatentFlowModel:
             out.extend((f"{prefix}.{name}", p) for name, p in net.named_parameters())
         return out
 
-    def predict_raw(self, x, solver_spec: SolverSpec) -> tuple[np.ndarray, SolveResult]:
-        """Encode, integrate the dynamics over [0, 1], decode. No gradients."""
+    def embed(self, x) -> np.ndarray:
+        """The data embedding z0 = f(x), computed off the tape."""
         with no_grad():
-            z0 = self.encode_data(np.asarray(x, dtype=np.float64)).data
-            res = solve(self._field, z0, 0.0, 1.0, solver_spec)
-            out = self.decode_label(res.z_final.data).data
-        return out, res
+            return self.encode_data(np.asarray(x, dtype=np.float64)).data
 
-    def _field(self, z: np.ndarray, t: float) -> np.ndarray:
-        return self.dynamics.forward(z, t).data
+    def flow(self, z0: np.ndarray, solver_spec: SolverSpec) -> tuple[np.ndarray, SolveResult]:
+        """Integrate the dynamics from z0 over [0, 1] and decode the final state
+        ``res.z_final``: the one inference path. No gradients."""
+        with no_grad():
+            res = solve(lambda z, t: self.velocity(z, t).data, z0, 0.0, 1.0, solver_spec)
+            return self.decode_label(res.z_final.data).data, res
+
+    def predict_raw(self, x, solver_spec: SolverSpec) -> tuple[np.ndarray, SolveResult]:
+        """``flow(embed(x), solver_spec)``: encode, integrate over [0, 1], decode."""
+        return self.flow(self.embed(x), solver_spec)
 
 
 def _build_dynamics(spec: ModelSpec, rng: np.random.Generator) -> Mlp:
@@ -240,18 +247,6 @@ def load_model_params(path, model: LatentFlowModel) -> None:
                 f"{path}: parameter {name!r} has shape {arr.shape}, expected {p.data.shape}"
             )
         p.data = arr
-
-
-def predict(model, x, solver_spec: SolverSpec) -> tuple[np.ndarray, int]:
-    """Model prediction plus the solver's per-sample NFE.
-
-    For classification the decoder output is reduced by argmax over the class
-    axis (ties resolve to the lowest index); regression returns raw outputs.
-    """
-    out, res = model.predict_raw(x, solver_spec)
-    if model.task.is_classification:
-        return np.argmax(out, axis=1), res.nfe
-    return out, res.nfe
 
 
 def mse(pred: np.ndarray, target: np.ndarray) -> float:
@@ -451,14 +446,14 @@ def direct_fm_train(model: LatentFlowModel, train_ds: PairedDataset,
 
 
 def node_baseline_train(node: LatentFlowModel, train_ds: PairedDataset, n_steps: int,
-                        cfg: TrainConfig, method: str = "euler",
-                        val_ds: PairedDataset | None = None) -> TrainLog:
-    """Discretize-then-optimize supervised training of the unrolled baseline.
+                        cfg: TrainConfig, val_ds: PairedDataset | None = None) -> TrainLog:
+    """Discretize-then-optimize supervised training of the unrolled baseline
+    through ``n_steps`` Euler steps.
 
     Validation, if any, integrates with the solver the loss unrolls, not
     ``cfg.eval_solver``.
     """
-    solver = SolverSpec(method, n_steps)
+    solver = SolverSpec.euler(n_steps)
 
     def loss_fn(m, x, y, sampler, rng):
         z1, _ = solve_with_grad(m.velocity, m.encode_data(x), 0.0, 1.0, solver)

@@ -311,10 +311,18 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     decode = _DECODERS.get(payload.get("format")) if isinstance(payload, dict) else None
     if decode is None:
         raise CheckpointError(f"unsupported checkpoint format in {path}")
+    params = payload.get("params")
+    if not isinstance(params, list):
+        raise CheckpointError(f"{path}: no 'params' list")
     out = {}
-    for rec in payload["params"]:
+    for i, rec in enumerate(params):
+        name = rec.get("name") if isinstance(rec, dict) else None
+        if not isinstance(name, str):
+            raise CheckpointError(f"{path}: parameter record {i} has no name")
         try:
-            out[rec["name"]] = decode(rec["values"], rec["shape"])
-        except ValueError as exc:
-            raise CheckpointError(f"{path}: parameter {rec['name']!r}: {exc}") from None
+            out[name] = decode(rec["values"], rec["shape"])
+        except KeyError as exc:
+            raise CheckpointError(f"{path}: parameter {name!r}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: parameter {name!r}: {exc}") from None
     return out

@@ -307,6 +307,25 @@ _MALFORMED = {
     "values not hex": ("checkpoint.json", _edit_first_values(lambda v: "zz" + v[2:]), _FIRST_PARAM),
     "values of the wrong length": ("checkpoint.json", _edit_first_values(lambda v: v[:-2]),
                                    _FIRST_PARAM),
+    "parameter record without shape": (
+        "checkpoint.json", lambda path: _edit_json(path, lambda c: c["params"][0].pop("shape")),
+        _FIRST_PARAM),
+    "parameter record without name": (
+        "checkpoint.json", lambda path: _edit_json(path, lambda c: c["params"][0].pop("name")), None),
+    "checkpoint without params": (
+        "checkpoint.json", lambda path: _edit_json(path, lambda c: c.pop("params")), None),
+    "params not a list": (
+        "checkpoint.json", lambda path: _edit_json(path, lambda c: c.update(params=1)), None),
+    "model_spec without task": (
+        "manifest.json", lambda path: _edit_json(path, lambda m: m["model_spec"].pop("task")), None),
+    "model_spec with an unknown key": (
+        "manifest.json", lambda path: _edit_json(path, lambda m: m["model_spec"].update(bogus=1)),
+        None),
+    "config with an unknown key": (
+        "manifest.json", lambda path: _edit_json(path, lambda m: m["config"].update(bogus=1)), None),
+    "normalization without x_mean": (
+        "manifest.json", lambda path: _edit_json(path, lambda m: m["normalization"].pop("x_mean")),
+        None),
 }
 
 
@@ -323,6 +342,18 @@ def test_malformed_run_directory_exits_2_naming_the_file(trained_run, tmp_path, 
     assert str(run / name) in errors[0]
     if param is not None:
         assert repr(param) in errors[0]
+
+
+def test_eval_reads_the_metric_and_nfe_of_the_diagnose_sweep(trained_run, tmp_path, capsys):
+    # eval and diagnose infer through one path, so at each of these solvers
+    # eval prints exactly its row of diagnose's NFE sweep
+    assert main(["diagnose", "--checkpoint", str(trained_run), "--out", str(tmp_path)]) == 0
+    sweep = {row["solver"]: row for row in json.loads(capsys.readouterr().out)["nfe_sweep"]}
+    for solver, label in (("euler:1", "euler:1"), ("euler:100", "euler:100"),
+                          ("dopri5", "dopri5:0.001,0.001")):
+        assert main(["eval", "--checkpoint", str(trained_run), "--solver", solver]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"metric": sweep[label]["metric"], "nfe_mean": float(sweep[label]["nfe"])}
 
 
 def test_diagnose_writes_report_and_prints_json(trained_run, tmp_path, capsys):

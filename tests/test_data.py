@@ -11,7 +11,6 @@ from latentflow.data import (
     apply_normalization,
     denormalize_y,
     load_csv,
-    one_hot,
     split,
     standardize,
     synth_regression,
@@ -64,22 +63,6 @@ def test_toy_control_is_double_reversal():
     assert np.array_equal(ctrl.x, rev.x)
 
 
-def test_one_hot_examples():
-    assert np.array_equal(one_hot(2, 4), [0.0, 0.0, 1.0, 0.0])
-    assert np.array_equal(one_hot(0, 1), [1.0])
-    with pytest.raises(DataError):
-        one_hot(4, 4)
-    with pytest.raises(DataError):
-        one_hot(-1, 4)
-
-
-@settings(max_examples=50, deadline=None)
-@given(k=st.integers(min_value=1, max_value=32), data=st.data())
-def test_one_hot_argmax_round_trip(k, data):
-    j = data.draw(st.integers(min_value=0, max_value=k - 1))
-    assert int(np.argmax(one_hot(j, k))) == j
-
-
 def test_load_csv_shapes(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("a,b,t\n1,2,3\n4,5,6\n7,8,9\n")
@@ -130,6 +113,14 @@ def test_load_csv_classification_one_hot(tmp_path):
     assert ds.task == TaskKind.classification(3)
     assert ds.y.shape == (4, 3)
     assert np.array_equal(np.argmax(ds.y, axis=1), [0, 1, 2, 1])
+
+
+def test_load_csv_rejects_class_index_beyond_num_classes(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("a,c\n0.5,0\n0.6,3\n0.7,2\n")
+    assert load_csv(path, ["a"], ["c"], TaskKind.classification(4)).y.shape == (3, 4)
+    with pytest.raises(DataError, match=r"label 3 outside \[0, 3\)"):
+        load_csv(path, ["a"], ["c"], TaskKind.classification(3))
 
 
 def test_split_sizes_and_determinism():

@@ -48,11 +48,9 @@ class VelocityStub:
             return Tensor(np.zeros_like(arr))
         raise NotImplementedError
 
-    def predict_raw(self, x, solver_spec):
-        z0 = self.encode_data(np.asarray(x, dtype=np.float64)).data
-        res = lf.solve(lambda z, t: self.velocity(Tensor(z), t).data,
-                       z0, 0.0, 1.0, solver_spec)
-        return self.decode_label(res.z_final).data, res
+    # the model's own inference path, run on the stub's networks
+    embed = lf.LatentFlowModel.embed
+    flow = lf.LatentFlowModel.flow
 
 
 class ExactFieldStub(VelocityStub):

@@ -13,6 +13,7 @@ from latentflow.model import (
     load_model_params,
     mse,
     node_baseline_train,
+    output_metric,
     save_model,
 )
 from latentflow.schedules import interpolate
@@ -35,11 +36,11 @@ def _zeroed_dynamics_model():
 def test_predict_with_zero_dynamics_decodes_unmoved_embedding():
     model = _zeroed_dynamics_model()
     ds = lf.toy_crossing()
-    pred, nfe = lf.predict(model, ds.x, EULER1)
+    pred, res = model.predict_raw(ds.x, EULER1)
     with no_grad():
         manual = model.decode_label(model.encode_data(ds.x).data).data
     assert np.array_equal(pred, manual)
-    assert nfe == 1
+    assert res.nfe == 1
 
 
 def test_zero_iterations_leaves_model_unchanged():
@@ -53,8 +54,8 @@ def test_zero_iterations_leaves_model_unchanged():
 
 def test_trained_toy_model_fits_with_one_euler_step(toy_latent, toy_ds):
     model, _ = toy_latent
-    pred, nfe = lf.predict(model, toy_ds.x, EULER1)
-    assert nfe == 1
+    pred, res = model.predict_raw(toy_ds.x, EULER1)
+    assert res.nfe == 1
     assert mse(pred, toy_ds.y) < 1e-2
 
 
@@ -151,8 +152,8 @@ def test_node_single_step_solves_linearly_separable_classification():
     node = build_node_baseline(2, 2, ds.task, hidden=32, depth=2, seed=0)
     log = node_baseline_train(node, ds, 1, lf.TrainConfig(
         iterations=500, batch_size=16, lr=1e-2, seed=0, log_every=100))
-    pred, _ = lf.predict(node, ds.x, EULER1)
-    assert accuracy(pred, ds.y) == 1.0
+    out, _ = node.predict_raw(ds.x, EULER1)
+    assert accuracy(np.argmax(out, axis=1), ds.y) == 1.0
     assert all(e.train_nfe == 1 for e in log.entries)
 
 
@@ -224,15 +225,6 @@ def test_baselines_reject_mismatched_dims(trainer):
             node_baseline_train(build_node_baseline(2, 2, bad.task, hidden=4, depth=2), bad, 2, cfg)
 
 
-def test_rk4_node_logs_measured_nfe():
-    ds = lf.toy_crossing()
-    node = build_node_baseline(2, 2, ds.task, hidden=8, depth=2, seed=0)
-    log = node_baseline_train(node, ds, 3, lf.TrainConfig(
-        iterations=5, batch_size=2, lr=1e-3, seed=0), method="rk4")
-    assert [e.train_nfe for e in log.entries] == [12] * 5
-    assert log.final_train_nfe_per_step == 12.0
-
-
 def test_model_checkpoint_round_trip(tmp_path, toy_latent, toy_ds):
     model, _ = toy_latent
     path = tmp_path / "ckpt.json"
@@ -241,8 +233,8 @@ def test_model_checkpoint_round_trip(tmp_path, toy_latent, toy_ds):
     load_model_params(path, clone)
     for (_, a), (_, b) in zip(model.named_parameters(), clone.named_parameters()):
         assert np.array_equal(a.data, b.data)
-    pa, _ = lf.predict(model, toy_ds.x, EULER1)
-    pb, _ = lf.predict(clone, toy_ds.x, EULER1)
+    pa, _ = model.predict_raw(toy_ds.x, EULER1)
+    pb, _ = clone.predict_raw(toy_ds.x, EULER1)
     assert np.array_equal(pa, pb)
 
 
@@ -269,5 +261,6 @@ def test_classification_predict_argmax_breaks_ties_low():
     # zero decoder output: all class scores tie, argmax picks index 0
     for p in model.label_decoder.parameters():
         p.data = np.zeros_like(p.data)
-    pred, _ = lf.predict(model, lf.toy_crossing().x, EULER1)
-    assert np.array_equal(pred, np.zeros(4, dtype=int))
+    ds = PairedDataset(lf.toy_crossing().x, np.eye(2)[[0, 0, 0, 1]], model.task)
+    assert evaluate_metric(model, ds, EULER1) == (0.75, 1)
+    assert output_metric(model.task, ds, np.zeros((4, 2))) == 0.75

@@ -275,7 +275,7 @@ def test_time_scaling_trap_fits_flow_but_not_the_task():
 
 def test_trap_does_not_occur_with_explicit_zero_sampling(toy_latent, toy_ds):
     model, _ = toy_latent  # trained with p_zero = 0.1 and trainable encoders
-    pred, _ = lf.predict(model, toy_ds.x, SolverSpec.euler(1))
+    pred, _ = model.predict_raw(toy_ds.x, SolverSpec.euler(1))
     assert mse(pred, toy_ds.y) < 1e-2
 
 

@@ -1,9 +1,12 @@
-"""Smoke runs of the experiment scripts at a few training steps."""
+"""Smoke runs of the experiment scripts and configs at a few training steps."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+from latentflow.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -15,8 +18,13 @@ def _run(script: str, *args: str) -> subprocess.CompletedProcess:
 
 
 def test_toy_compare_script(tmp_path):
-    proc = _run("toy_compare.py", "--out", str(tmp_path), "--iterations", "3")
-    assert proc.returncode == 0, proc.stderr
+    # the committed compare config, at 3 training steps
+    text, n = re.subn(r"(?m)^iterations = \d+$", "iterations = 3",
+                      (SCRIPTS / "toy_compare.cfg").read_text())
+    assert n == 1
+    cfg = tmp_path / "toy_compare.cfg"
+    cfg.write_text(text)
+    assert main(["compare", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     table = json.loads((tmp_path / "comparison.json").read_text())
     assert [row["method"] for row in table["rows"]] == ["latent_fm", "direct_fm", "node_euler8"]
     assert [row["train_nfe_per_step"] for row in table["rows"]] == [1.0, 1.0, 8.0]

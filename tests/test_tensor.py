@@ -255,7 +255,7 @@ def _recorded_ops(loss: Tensor) -> set[str]:
     return ops - {"leaf"}
 
 
-@pytest.mark.parametrize("method", ["latent_fm", "direct_fm", "node_rk4"])
+@pytest.mark.parametrize("method", ["latent_fm", "direct_fm", "node_euler"])
 def test_training_losses_record_only_the_six_primitives(method, monkeypatch):
     ds = lf.toy_crossing()
     cfg = lf.TrainConfig(iterations=1, batch_size=4, seed=0)
@@ -273,7 +273,7 @@ def test_training_losses_record_only_the_six_primitives(method, monkeypatch):
         lf.direct_fm_train(lf.build_direct_fm(2, 2, ds.task, hidden=8), ds, cfg)
     else:
         node = lf.build_node_baseline(2, 2, ds.task, hidden=8)
-        lf.node_baseline_train(node, ds, 2, cfg, method="rk4")
+        lf.node_baseline_train(node, ds, 2, cfg)
     (loss,) = losses
     ops = _recorded_ops(loss)
     assert ops <= PRIMITIVES
