@@ -44,9 +44,9 @@ def main() -> int:
         spec = lf.ModelSpec(d_x=args.d_x, d_y=1, task=ds.task, schedule=kind,
                             enc_hidden=64, enc_depth=2, dyn_hidden=64, dyn_depth=3)
         model = lf.build_model(spec, seed=args.seed)
-        cfg = lf.TrainConfig(iterations=args.iterations, batch_size=128, lr=2e-3,
-                             p_zero=0.1, sigma=0.1, seed=args.seed,
-                             eval_interval=1000, patience=10, log_every=500)
+        cfg = lf.RunConfig(iterations=args.iterations, batch_size=128, lr=2e-3,
+                           t_zero_prob=0.1, label_noise_std=0.1, seed=args.seed,
+                           eval_interval=1000, patience=10, log_every=500)
         lf.train(model, train_ds, cfg, val_ds)
         rows = nfe_sweep(model, val_ds, NFE_GRID)
         path = out_dir / f"sweep_{kind}.csv"

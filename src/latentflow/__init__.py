@@ -5,12 +5,12 @@ embedding space, with ODE-solver inference, an unrolled-solver baseline, and
 the diagnostic metrics used to analyse trajectory straightness.
 """
 
+from .config import RunConfig
 from .data import PairedDataset, TaskKind, load_csv, split, synth_regression, toy_crossing
 from .diagnostics import DiagnosticsReport, build_report, disagreement, knn_probe, nfe_sweep, velocity_cosine_profile
 from .model import (
     LatentFlowModel,
     ModelSpec,
-    TrainConfig,
     TrainLog,
     build_direct_fm,
     build_model,

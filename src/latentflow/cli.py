@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config, train_config_from
+from .config import ConfigError, RunConfig, load_config
 from .data import (
     DataError,
     PairedDataset,
@@ -132,39 +132,34 @@ def _environment() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas_name}
 
 
-def _load_run_config(args) -> RunConfig:
-    return _apply_overrides(load_config(args.config), args).validate()
-
-
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    for attr in ("seed", "out", "solver", "dataset"):
-        value = getattr(args, attr, None)
-        if value is not None:
-            setattr(cfg, attr, value)
-    return cfg
+def _overridden(cfg: RunConfig, args) -> RunConfig:
+    """``cfg`` with the values of the flags given, checked again."""
+    return dataclasses.replace(cfg, **{
+        attr: value for attr in ("seed", "out", "solver", "dataset")
+        if (value := getattr(args, attr, None)) is not None})
 
 
 def cmd_train(args) -> int:
-    cfg = _load_run_config(args)
+    cfg = _overridden(load_config(args.config), args)
     ds = resolve_dataset(cfg)
     train_ds, val_ds = prepare_splits(cfg, ds)
     spec = model_spec_from(cfg, train_ds)
     model = build_model(spec, cfg.seed)
-    tc = train_config_from(cfg)
+    solver = SolverSpec.parse(cfg.solver)
 
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
-    train_log = train(model, train_ds, tc, val_ds)
+    train_log = train(model, train_ds, cfg, val_ds)
     wall = time.perf_counter() - t0
     log.info("training finished: %d logged steps in %.1fs", len(train_log.entries), wall)
 
     final: dict = {"stopped_early": train_log.stopped_early, "best_val": train_log.best_val}
     if cfg.iterations > 0:
-        metric, nfe = evaluate_metric(model, train_ds, tc.eval_solver)
+        metric, nfe = evaluate_metric(model, train_ds, solver)
         final["train_metric"] = metric
         final["train_nfe"] = nfe
         if val_ds is not None:
-            final["val_metric"] = evaluate_metric(model, val_ds, tc.eval_solver)[0]
+            final["val_metric"] = evaluate_metric(model, val_ds, solver)[0]
     # the output path is an invocation detail, not part of the experiment
     # record; dropping it keeps manifests byte-reproducible across runs
     recorded_cfg = {k: v for k, v in cfg.to_dict().items() if k != "out"}
@@ -201,11 +196,21 @@ class DimensionMismatch(RuntimeError):
     pass
 
 
+def _stats(normalization: dict, key: str, n: int) -> np.ndarray:
+    """The recorded normalization stat ``key``: a list of ``n`` finite numbers."""
+    values = normalization[key]
+    if not (isinstance(values, list) and len(values) == n
+            and all(type(v) in (int, float) for v in values) and np.isfinite(values).all()):
+        raise ValueError(f"normalization {key} must be a list of {n} finite numbers")
+    return np.array(values, dtype=np.float64)
+
+
 def _load_run(args) -> tuple[LatentFlowModel, PairedDataset, RunConfig]:
     """The model of the run directory ``args.checkpoint``, and the dataset named
     on the command line (or in the run's config) with its dims checked against
     the checkpoint and the training-time normalization applied. Also returns
-    the validated, overridden config."""
+    the overridden config. A malformed manifest value is a CheckpointError
+    naming the manifest; a bad flag stays a ConfigError."""
     checkpoint_dir = Path(args.checkpoint)
     manifest_path = checkpoint_dir / "manifest.json"
     if not manifest_path.is_file():
@@ -214,16 +219,17 @@ def _load_run(args) -> tuple[LatentFlowModel, PairedDataset, RunConfig]:
         manifest = json.loads(manifest_path.read_text())
         spec = ModelSpec.from_dict(manifest["model_spec"])
         cfg = RunConfig(**manifest["config"])
-        norm = [manifest["normalization"][k] for k in ("x_mean", "x_std", "y_mean", "y_std")]
+        norm = [_stats(manifest["normalization"], k, n) for k, n in (
+            ("x_mean", spec.d_x), ("x_std", spec.d_x), ("y_mean", spec.d_y), ("y_std", spec.d_y))]
+        model = build_model(spec)  # every parameter is then loaded, whatever the seed
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"{manifest_path}: not valid JSON ({exc})") from None
     except KeyError as exc:
         raise CheckpointError(f"{manifest_path}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"{manifest_path}: {exc}") from None
-    model = build_model(spec, manifest.get("seed", 0))
     load_model_params(checkpoint_dir / "checkpoint.json", model)
-    _apply_overrides(cfg, args).validate()
+    cfg = _overridden(cfg, args)
     ds = resolve_dataset(cfg)
     if ds.d_x != spec.d_x or ds.d_y != spec.d_y:
         raise DimensionMismatch(
@@ -261,18 +267,17 @@ def run_comparison(cfg: RunConfig) -> dict:
         f"metric_euler{cfg.node_steps}": SolverSpec.euler(cfg.node_steps),
         "metric_dopri5": SolverSpec.dopri5(1e-3, 1e-3),
     }
-    tc = train_config_from(cfg)
-    node_tc = tc if cfg.node_lr <= 0 else dataclasses.replace(tc, lr=cfg.node_lr)
+    node_cfg = cfg if cfg.node_lr <= 0 else dataclasses.replace(cfg, lr=cfg.node_lr)
     baseline = dict(hidden=cfg.dyn_hidden, depth=cfg.dyn_depth, seed=cfg.seed)
     methods = (
         ("latent_fm", build_model(model_spec_from(cfg, train_ds), cfg.seed),
-         lambda m: train(m, train_ds, tc)),
+         lambda m: train(m, train_ds, cfg)),
         ("direct_fm", build_direct_fm(train_ds.d_x, train_ds.d_y, train_ds.task,
                                       schedule=cfg.schedule, **baseline),
-         lambda m: direct_fm_train(m, train_ds, tc)),
+         lambda m: direct_fm_train(m, train_ds, cfg)),
         (f"node_euler{cfg.node_steps}",
          build_node_baseline(train_ds.d_x, train_ds.d_y, train_ds.task, **baseline),
-         lambda m: node_baseline_train(m, train_ds, cfg.node_steps, node_tc)),
+         lambda m: node_baseline_train(m, train_ds, cfg.node_steps, node_cfg)),
     )
     rows = []
     for method, model, trainer in methods:
@@ -302,7 +307,7 @@ def _format_table(table: dict) -> str:
 
 
 def cmd_compare(args) -> int:
-    cfg = _load_run_config(args)
+    cfg = _overridden(load_config(args.config), args)
     table = run_comparison(cfg)
     write_run_files(cfg.out, {"comparison.json": lambda path: path.write_text(
         json.dumps(table, indent=2, sort_keys=True))})

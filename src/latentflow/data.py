@@ -164,8 +164,8 @@ def load_csv(path, x_cols: list[str], y_cols: list[str],
     "classification" (the latter infers the class count). For classification,
     y_cols must be a single column of integer class indices in [0, k); labels
     are one-hot encoded. Non-numeric and missing cells are reported with
-    1-based data row numbers and column names; a file that is not UTF-8 raises
-    ``DataError`` naming the file.
+    1-based data row numbers and column names; a missing, unreadable or
+    non-UTF-8 file raises ``DataError`` naming the file.
     """
     if isinstance(task, str):
         want_classification = task == "classification"
@@ -179,6 +179,8 @@ def load_csv(path, x_cols: list[str], y_cols: list[str],
         text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError:
         raise DataError(f"{path}: not valid UTF-8") from None
+    except OSError:  # missing, a directory, or a name too long for the file system
+        raise DataError(f"csv dataset file not found or unreadable: {path}") from None
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)

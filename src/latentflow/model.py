@@ -26,14 +26,15 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
+from .config import RunConfig, check_schedule, check_value
 from .data import PairedDataset, TaskKind, denormalize_y
-from .nn import AdamState, CheckpointError, ColumnMap, Mlp, adam_step, cosine_lr
+from .nn import AdamState, CheckpointError, ColumnMap, Mlp, adam_step
 from .objectives import LossBreakdown, TimeSampler, flow_loss, total_loss
 from .schedules import Schedule, get_schedule
 from .solvers import SolveResult, SolverSpec, solve, solve_with_grad
@@ -45,7 +46,6 @@ __all__ = [
     "build_model",
     "save_model",
     "load_model_params",
-    "TrainConfig",
     "TrainingAbort",
     "LogEntry",
     "TrainLog",
@@ -84,6 +84,13 @@ class ModelSpec:
     dyn_depth: int = 3
     enc_activation: str = "relu"
     dyn_activation: str = "tanh"
+
+    def __post_init__(self):
+        for name in ("d_x", "d_y", "enc_hidden", "enc_depth", "dyn_hidden", "dyn_depth"):
+            check_value(name, getattr(self, name), "int", 1)
+        if self.latent_dim is not None:
+            check_value("latent_dim", self.latent_dim, "int", 1)
+        check_schedule(self.schedule)
 
     def resolved_latent_dim(self) -> int:
         if self.latent_dim is not None:
@@ -275,36 +282,6 @@ def evaluate_metric(model, ds: PairedDataset, solver_spec: SolverSpec) -> tuple[
     return output_metric(model.task, ds, out), res.nfe
 
 
-@dataclass
-class TrainConfig:
-    iterations: int = 5000
-    batch_size: int = 128
-    lr: float = 1e-3
-    lr_schedule: str = "cosine"  # "cosine" | "constant"
-    p_zero: float = 0.1
-    sigma: float = 0.1
-    seed: int = 0
-    eval_interval: int = 1000
-    patience: int = 10
-    eval_solver: SolverSpec = field(default_factory=lambda: SolverSpec.euler(1))
-    log_every: int = 1
-
-    def __post_init__(self):
-        for name, low in (("iterations", 0), ("batch_size", 1), ("eval_interval", 1),
-                          ("patience", 1), ("log_every", 1)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if not self.lr > 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
-        if self.lr_schedule not in ("cosine", "constant"):
-            raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
-
-    def lr_at(self, step: int) -> float:
-        if self.lr_schedule == "constant":
-            return self.lr
-        return cosine_lr(step, max(self.iterations, 1), self.lr)
-
-
 class TrainingAbort(RuntimeError):
     """Non-finite loss; carries the step index and the loss breakdown."""
 
@@ -353,7 +330,7 @@ def _improves(task: TaskKind, metric: float, best: float | None) -> bool:
 
 
 def fit(model: LatentFlowModel, loss_fn: LossFn, train_ds: PairedDataset,
-        cfg: TrainConfig, val_ds: PairedDataset | None = None) -> TrainLog:
+        cfg: RunConfig, val_ds: PairedDataset | None = None) -> TrainLog:
     """Minibatch Adam on ``loss_fn``: the one training loop of every method.
 
     Each step draws a minibatch, evaluates ``loss_fn`` on it and takes one Adam
@@ -362,6 +339,7 @@ def fit(model: LatentFlowModel, loss_fn: LossFn, train_ds: PairedDataset,
     of dynamics calls measured around ``loss_fn``. With a validation set, the
     metric is checked every ``eval_interval`` steps and training stops after
     ``patience`` non-improving rounds, restoring the best-validation parameters.
+    Validation solves with ``cfg.solver``.
     """
     if train_ds.d_x != model.spec.d_x or train_ds.d_y != model.spec.d_y:
         raise ValueError(
@@ -373,7 +351,8 @@ def fit(model: LatentFlowModel, loss_fn: LossFn, train_ds: PairedDataset,
     batch_ss, time_ss, noise_ss = np.random.SeedSequence(cfg.seed).spawn(3)
     rng_batch = np.random.default_rng(batch_ss)
     rng_noise = np.random.default_rng(noise_ss)
-    sampler = TimeSampler(cfg.p_zero, seed=time_ss)
+    sampler = TimeSampler(cfg.t_zero_prob, seed=time_ss)
+    solver = SolverSpec.parse(cfg.solver)
 
     entries: list[LogEntry] = []
     best_snapshot: list[np.ndarray] | None = None
@@ -399,7 +378,7 @@ def fit(model: LatentFlowModel, loss_fn: LossFn, train_ds: PairedDataset,
 
         val_metric = None
         if val_ds is not None and (step + 1) % cfg.eval_interval == 0:
-            val_metric, _ = evaluate_metric(model, val_ds, cfg.eval_solver)
+            val_metric, _ = evaluate_metric(model, val_ds, solver)
             if _improves(model.task, val_metric, best_val):
                 best_val = val_metric
                 best_snapshot = [p.data.copy() for p in params]
@@ -424,19 +403,19 @@ def _single_term(loss_t: Tensor) -> tuple[Tensor, LossBreakdown]:
     return loss_t, LossBreakdown(loss, 0.0, loss)
 
 
-def train(model: LatentFlowModel, train_ds: PairedDataset, cfg: TrainConfig,
+def train(model: LatentFlowModel, train_ds: PairedDataset, cfg: RunConfig,
           val_ds: PairedDataset | None = None) -> TrainLog:
     """Latent flow matching: flow loss plus label autoencoding, one dynamics
     evaluation per step."""
 
     def loss_fn(m, x, y, sampler, rng):
-        return total_loss(m, x, y, sampler, cfg.sigma, rng)
+        return total_loss(m, x, y, sampler, cfg.label_noise_std, rng)
 
     return fit(model, loss_fn, train_ds, cfg, val_ds)
 
 
 def direct_fm_train(model: LatentFlowModel, train_ds: PairedDataset,
-                    cfg: TrainConfig) -> TrainLog:
+                    cfg: RunConfig) -> TrainLog:
     """Train the dynamics alone on fixed data-space endpoints."""
 
     def loss_fn(m, x, y, sampler, rng):
@@ -446,12 +425,12 @@ def direct_fm_train(model: LatentFlowModel, train_ds: PairedDataset,
 
 
 def node_baseline_train(node: LatentFlowModel, train_ds: PairedDataset, n_steps: int,
-                        cfg: TrainConfig, val_ds: PairedDataset | None = None) -> TrainLog:
+                        cfg: RunConfig, val_ds: PairedDataset | None = None) -> TrainLog:
     """Discretize-then-optimize supervised training of the unrolled baseline
     through ``n_steps`` Euler steps.
 
     Validation, if any, integrates with the solver the loss unrolls, not
-    ``cfg.eval_solver``.
+    ``cfg.solver``.
     """
     solver = SolverSpec.euler(n_steps)
 
@@ -459,5 +438,5 @@ def node_baseline_train(node: LatentFlowModel, train_ds: PairedDataset, n_steps:
         z1, _ = solve_with_grad(m.velocity, m.encode_data(x), 0.0, 1.0, solver)
         return _single_term(mean_all(sq_diff_rowsum(m.decode_label(z1), Tensor(y))))
 
-    cfg = dataclasses.replace(cfg, eval_solver=solver)
+    cfg = dataclasses.replace(cfg, solver=solver.label())
     return fit(node, loss_fn, train_ds, cfg, val_ds)

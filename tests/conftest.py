@@ -8,8 +8,8 @@ import pytest
 import latentflow as lf
 
 
-TOY_LATENT_CFG = dict(iterations=5000, batch_size=4, lr=1e-3, p_zero=0.1,
-                      sigma=0.1, seed=0, log_every=1)
+TOY_LATENT_CFG = dict(iterations=5000, batch_size=4, lr=1e-3, t_zero_prob=0.1,
+                      label_noise_std=0.1, seed=0, log_every=1)
 
 
 @pytest.fixture(scope="session")
@@ -23,7 +23,7 @@ def toy_latent(toy_ds):
     spec = lf.ModelSpec(d_x=2, d_y=2, task=toy_ds.task, enc_hidden=32,
                         enc_depth=2, dyn_hidden=64, dyn_depth=3)
     model = lf.build_model(spec, seed=0)
-    log = lf.train(model, toy_ds, lf.TrainConfig(**TOY_LATENT_CFG))
+    log = lf.train(model, toy_ds, lf.RunConfig(**TOY_LATENT_CFG))
     return model, log
 
 
@@ -31,8 +31,8 @@ def toy_latent(toy_ds):
 def toy_direct(toy_ds):
     """Data-space velocity regression trained on the crossing toy task."""
     model = lf.build_direct_fm(2, 2, toy_ds.task, hidden=64, depth=3, seed=0)
-    cfg = lf.TrainConfig(iterations=5000, batch_size=4, lr=1e-3, p_zero=0.1,
-                         seed=0, log_every=1)
+    cfg = lf.RunConfig(iterations=5000, batch_size=4, lr=1e-3, t_zero_prob=0.1,
+                       seed=0, log_every=1)
     log = lf.direct_fm_train(model, toy_ds, cfg)
     return model, log
 

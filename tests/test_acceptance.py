@@ -41,8 +41,8 @@ def toy_latent():
         spec = lf.ModelSpec(d_x=2, d_y=2, task=ds.task, enc_hidden=32, enc_depth=2,
                             dyn_hidden=64, dyn_depth=3)
         model = lf.build_model(spec, seed=0)
-        cfg = lf.TrainConfig(iterations=5000, batch_size=4, lr=1e-3, p_zero=0.1,
-                             sigma=0.1, seed=0, log_every=1)
+        cfg = lf.RunConfig(iterations=5000, batch_size=4, lr=1e-3, t_zero_prob=0.1,
+                           label_noise_std=0.1, seed=0, log_every=1)
         calls_before = model.dynamics.calls
         lf.train(model, ds, cfg)
         _cache["latent"] = (model, (model.dynamics.calls - calls_before) / cfg.iterations)
@@ -53,8 +53,8 @@ def toy_direct():
     if "direct" not in _cache:
         ds = toy_crossing()
         model = lf.build_direct_fm(2, 2, ds.task, hidden=64, depth=3, seed=0)
-        cfg = lf.TrainConfig(iterations=5000, batch_size=4, lr=1e-3, p_zero=0.1,
-                             seed=0, log_every=100)
+        cfg = lf.RunConfig(iterations=5000, batch_size=4, lr=1e-3, t_zero_prob=0.1,
+                           seed=0, log_every=100)
         lf.direct_fm_train(model, ds, cfg)
         _cache["direct"] = model
     return _cache["direct"]
@@ -64,7 +64,7 @@ def toy_node():
     if "node" not in _cache:
         ds = toy_crossing()
         node = lf.build_node_baseline(2, 2, ds.task, hidden=64, depth=3, seed=0)
-        cfg = lf.TrainConfig(iterations=3000, batch_size=4, lr=3e-3, seed=0, log_every=100)
+        cfg = lf.RunConfig(iterations=3000, batch_size=4, lr=3e-3, seed=0, log_every=100)
         log = lf.node_baseline_train(node, ds, 8, cfg)
         _cache["node"] = (node, log)
     return _cache["node"]
@@ -79,9 +79,9 @@ def synth_models():
             spec = lf.ModelSpec(d_x=2, d_y=1, task=ds.task, schedule=kind,
                                 enc_hidden=64, enc_depth=2, dyn_hidden=64, dyn_depth=3)
             model = lf.build_model(spec, seed=0)
-            cfg = lf.TrainConfig(iterations=10000, batch_size=128, lr=2e-3,
-                                 p_zero=0.1, sigma=0.1, seed=0, eval_interval=1000,
-                                 patience=10, log_every=500)
+            cfg = lf.RunConfig(iterations=10000, batch_size=128, lr=2e-3, t_zero_prob=0.1,
+                               label_noise_std=0.1, seed=0, eval_interval=1000,
+                               patience=10, log_every=500)
             lf.train(model, train_ds, cfg, val_ds)
             out[kind] = model
         _cache["synth"] = (out, val_ds)

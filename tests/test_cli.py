@@ -1,7 +1,12 @@
+import contextlib
+import copy
 import csv
+import functools
 import io
 import json
 import logging
+import math
+import operator
 import os
 import shutil
 import subprocess
@@ -10,11 +15,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import latentflow.cli
-from latentflow.cli import main, train_config_from
+from latentflow.cli import main, resolve_dataset
 from latentflow.config import ConfigError, RunConfig, load_config, parse_config_text
+from latentflow.data import DataError
 from latentflow.nn import load_checkpoint
 from latentflow.solvers import SolverError
 
@@ -63,9 +69,10 @@ def test_config_rejects_bad_value():
 
 
 def test_config_rejects_missing_csv(tmp_path):
+    # a config checks values only; the file is checked when it is read
     cfg = RunConfig(dataset="csv:/nonexistent/file.csv", x_cols="a", y_cols="b")
-    with pytest.raises(ConfigError, match="not found"):
-        cfg.validate()
+    with pytest.raises(DataError, match="not found"):
+        resolve_dataset(cfg)
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
@@ -119,10 +126,9 @@ _CONFIG_VALUES = st.one_of(
 def test_config_parse_and_validate_raise_only_config_error(pairs):
     text = "\n".join(f"{key} = {value}" for key, value in pairs)
     try:
-        cfg = parse_config_text(text).validate()
+        parse_config_text(text)
     except ConfigError:
-        return
-    train_config_from(cfg)  # a validated config passes the trainer's own range checks
+        pass
 
 
 def test_zero_iterations_writes_empty_log(tmp_path):
@@ -254,10 +260,7 @@ def test_eval_dimension_mismatch_exits_1(trained_run, tmp_path):
     data = tmp_path / "wide.csv"
     data.write_text("a,b,c,t\n1,2,3,4\n5,6,7,8\n")
     manifest = json.loads((trained_run / "manifest.json").read_text())
-    cfg = RunConfig(**manifest["config"])
-    cfg.dataset = f"csv:{data}"
-    cfg.x_cols = "a,b,c"
-    cfg.y_cols = "t"
+    cfg = RunConfig(**dict(manifest["config"], dataset=f"csv:{data}", x_cols="a,b,c", y_cols="t"))
     patched = dict(manifest, config=cfg.to_dict())
     (trained_run / "manifest.json").write_text(json.dumps(patched, indent=2, sort_keys=True))
     try:
@@ -290,8 +293,17 @@ def _edit_first_values(edit):
         values=edit(payload["params"][0]["values"])))
 
 
+def _edit_manifest(section, key, value):
+    return lambda path: _edit_json(path, lambda m: m[section].update({key: value}))
+
+
+def _resize_stat(key, n):
+    return lambda path: _edit_json(
+        path, lambda m: m["normalization"].update({key: [m["normalization"][key][0]] * n}))
+
+
 _FIRST_PARAM = "f.enc.0.weight"
-# case -> (file, how it is broken, the parameter the error names)
+# case -> (file, how it is broken, the checkpoint parameter or manifest field the error names)
 _MALFORMED = {
     "truncated manifest": ("manifest.json", _truncate, None),
     "manifest without normalization": (
@@ -326,6 +338,19 @@ _MALFORMED = {
     "normalization without x_mean": (
         "manifest.json", lambda path: _edit_json(path, lambda m: m["normalization"].pop("x_mean")),
         None),
+    "config with a string iterations": (
+        "manifest.json", _edit_manifest("config", "iterations", "abc"), "iterations"),
+    "model_spec with a string width": (
+        "manifest.json", _edit_manifest("model_spec", "enc_hidden", "64"), "enc_hidden"),
+    "model_spec with a zero width": (
+        "manifest.json", _edit_manifest("model_spec", "enc_hidden", 0), "enc_hidden"),
+    "model_spec with an unknown schedule": (
+        "manifest.json", _edit_manifest("model_spec", "schedule", "bogus"), "schedule"),
+    "normalization with a string x_std": (
+        "manifest.json", _edit_manifest("normalization", "x_std", "abc"), "x_std"),
+    "x_mean of 5 values for 2 columns": ("manifest.json", _resize_stat("x_mean", 5), "x_mean"),
+    "y_mean of 3 values for 2 columns": ("manifest.json", _resize_stat("y_mean", 3), "y_mean"),
+    "x_mean of 1 value for 2 columns": ("manifest.json", _resize_stat("x_mean", 1), "x_mean"),
 }
 
 
@@ -341,7 +366,90 @@ def test_malformed_run_directory_exits_2_naming_the_file(trained_run, tmp_path, 
     assert len(errors) == 1 and len(errors[0].splitlines()) == 1
     assert str(run / name) in errors[0]
     if param is not None:
-        assert repr(param) in errors[0]
+        assert (repr(param) if name == "checkpoint.json" else param) in errors[0]
+
+
+@pytest.fixture(scope="module")
+def mutable_run(trained_run, tmp_path_factory):
+    """A copy of the trained run whose manifest a test may rewrite, its
+    manifest, and the stdout of ``eval`` on it."""
+    run = tmp_path_factory.mktemp("mutable") / "run"
+    shutil.copytree(trained_run, run)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["eval", "--checkpoint", str(run)]) == 0
+    return run, json.loads((run / "manifest.json").read_text()), out.getvalue()
+
+
+def _json_paths(node, path=()):
+    """The path of every value inside a JSON document."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in children:
+        yield path + (key,)
+        yield from _json_paths(value, path + (key,))
+
+
+_OTHER_TYPES = [None, True, 0.5, "abc", [], {}]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_manifest_exits_2_or_changes_nothing(mutable_run, capsys, caplog, data):
+    # drop a value, change its type, resize a list or put in a non-finite number:
+    # eval either rejects the manifest in one line or prints exactly what it did
+    run, original, expected = mutable_run
+    manifest = copy.deepcopy(original)
+    how = data.draw(st.sampled_from(["drop", "retype", "resize", "non-finite"]))
+    at = functools.partial(functools.reduce, operator.getitem)
+    paths = [p for p in _json_paths(manifest) if how != "resize" or isinstance(at(p, manifest), list)]
+    path = data.draw(st.sampled_from(paths))
+    parent, key = at(path[:-1], manifest), path[-1]
+    if how == "drop":
+        del parent[key]
+    elif how == "retype":
+        parent[key] = data.draw(st.sampled_from(
+            [v for v in _OTHER_TYPES if type(v) is not type(parent[key])]))
+    elif how == "resize":
+        parent[key] = parent[key] + parent[key][-1:] if data.draw(st.booleans()) else parent[key][:-1]
+    else:
+        parent[key] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    caplog.clear()
+    with caplog.at_level(logging.ERROR, logger="latentflow"):
+        code = main(["eval", "--checkpoint", str(run)])
+    out = capsys.readouterr().out
+    if code == 0:
+        assert out == expected
+    else:
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert code == 2 and out == ""
+        assert len(errors) == 1 and len(errors[0].splitlines()) == 1
+
+
+def test_bad_solver_flag_does_not_blame_the_manifest(trained_run, caplog):
+    with caplog.at_level(logging.ERROR, logger="latentflow"):
+        assert main(["eval", "--checkpoint", str(trained_run), "--solver", "bogus"]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and "bogus" in errors[0] and "manifest.json" not in errors[0]
+
+
+def test_eval_reads_another_csv_after_the_recorded_one_is_gone(tmp_path, capsys):
+    rows = "a,b,t\n" + "".join(f"{i},{i % 3},{i * 0.5}\n" for i in range(8))
+    recorded, other = tmp_path / "train.csv", tmp_path / "other.csv"
+    recorded.write_text(rows)
+    other.write_text(rows)
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(f"dataset = csv:{recorded}\nx_cols = a,b\ny_cols = t\n"
+                        "iterations = 2\nbatch_size = 4\n")
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--out", str(run)]) == 0
+    recorded.unlink()
+    assert main(["eval", "--checkpoint", str(run)]) == 2  # the recorded csv is not found
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run), "--dataset", f"csv:{other}"]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == {"metric", "nfe_mean"}
 
 
 def test_eval_reads_the_metric_and_nfe_of_the_diagnose_sweep(trained_run, tmp_path, capsys):

@@ -203,8 +203,8 @@ def test_classification_knn_probe_uses_class_labels(toy_ds):
     spec = lf.ModelSpec(d_x=2, d_y=2, task=ds.task, enc_hidden=16, dyn_hidden=32,
                         dyn_depth=2)
     model = lf.build_model(spec, seed=0)
-    lf.train(model, ds, lf.TrainConfig(iterations=1500, batch_size=24, lr=2e-3,
-                                       seed=0, log_every=100))
+    lf.train(model, ds, lf.RunConfig(iterations=1500, batch_size=24, lr=2e-3,
+                                     seed=0, log_every=100))
     report = build_report(model, ds)
     assert report.knn_accuracy_z1hat >= report.knn_accuracy_z0
     assert report.knn_accuracy_z1hat >= 0.9

@@ -46,7 +46,7 @@ def test_predict_with_zero_dynamics_decodes_unmoved_embedding():
 def test_zero_iterations_leaves_model_unchanged():
     model = make_small_model(seed=4)
     before = [p.data.copy() for p in model.parameters()]
-    log = lf.train(model, lf.toy_crossing(), lf.TrainConfig(iterations=0))
+    log = lf.train(model, lf.toy_crossing(), lf.RunConfig(iterations=0))
     assert log.entries == []
     for p, b in zip(model.parameters(), before):
         assert np.array_equal(p.data, b)
@@ -103,7 +103,7 @@ def test_coupling_preserved_in_embedding_space(toy_latent, toy_ds):
 def test_training_is_deterministic():
     def run():
         model = make_small_model(seed=1)
-        lf.train(model, lf.toy_crossing(), lf.TrainConfig(
+        lf.train(model, lf.toy_crossing(), lf.RunConfig(
             iterations=300, batch_size=4, lr=1e-3, seed=5, log_every=50))
         return [p.data.copy() for p in model.parameters()]
 
@@ -115,14 +115,14 @@ def test_train_rejects_mismatched_dims():
     model = make_small_model()
     bad = lf.synth_regression(8, 3, seed=0)
     with pytest.raises(ValueError, match="dims"):
-        lf.train(model, bad, lf.TrainConfig(iterations=1))
+        lf.train(model, bad, lf.RunConfig(iterations=1))
 
 
 def test_train_aborts_on_nonfinite_loss():
     model = make_small_model(seed=1)
     model.dynamics.parameters()[0].data += np.inf
     with pytest.raises(TrainingAbort, match="step 0"):
-        lf.train(model, lf.toy_crossing(), lf.TrainConfig(iterations=5))
+        lf.train(model, lf.toy_crossing(), lf.RunConfig(iterations=5))
 
 
 def test_early_stopping_restores_best_checkpoint():
@@ -131,10 +131,10 @@ def test_early_stopping_restores_best_checkpoint():
     spec = lf.ModelSpec(d_x=2, d_y=1, task=ds.task, enc_hidden=16, dyn_hidden=16,
                         dyn_depth=2)
     model = lf.build_model(spec, seed=0)
-    cfg = lf.TrainConfig(iterations=400, batch_size=32, lr=5e-3, seed=0,
-                         eval_interval=50, patience=1, log_every=50)
+    cfg = lf.RunConfig(iterations=400, batch_size=32, lr=5e-3, seed=0,
+                       eval_interval=50, patience=1, log_every=50)
     log = lf.train(model, train_ds, cfg, val_ds)
-    restored_metric, _ = evaluate_metric(model, val_ds, cfg.eval_solver)
+    restored_metric, _ = evaluate_metric(model, val_ds, SolverSpec.parse(cfg.solver))
     assert log.best_val is not None
     assert restored_metric == pytest.approx(log.best_val, rel=1e-9)
 
@@ -150,7 +150,7 @@ def test_node_single_step_solves_linearly_separable_classification():
     ds = PairedDataset(x, y, TaskKind.classification(2))
 
     node = build_node_baseline(2, 2, ds.task, hidden=32, depth=2, seed=0)
-    log = node_baseline_train(node, ds, 1, lf.TrainConfig(
+    log = node_baseline_train(node, ds, 1, lf.RunConfig(
         iterations=500, batch_size=16, lr=1e-2, seed=0, log_every=100))
     out, _ = node.predict_raw(ds.x, EULER1)
     assert accuracy(np.argmax(out, axis=1), ds.y) == 1.0
@@ -160,7 +160,7 @@ def test_node_single_step_solves_linearly_separable_classification():
 def test_node_training_nfe_matches_step_count():
     ds = lf.toy_crossing()
     node = build_node_baseline(2, 2, ds.task, hidden=8, depth=2, seed=0)
-    log = node_baseline_train(node, ds, 5, lf.TrainConfig(
+    log = node_baseline_train(node, ds, 5, lf.RunConfig(
         iterations=6, batch_size=4, lr=1e-3, seed=0))
     assert log.final_train_nfe_per_step == 5
     assert all(e.train_nfe == 5 for e in log.entries)
@@ -169,7 +169,7 @@ def test_node_training_nfe_matches_step_count():
 def test_direct_fm_fits_non_crossing_control():
     ctrl = lf.toy_crossing(crossing=False)
     model = build_direct_fm(2, 2, ctrl.task, hidden=64, depth=3, seed=0)
-    direct_fm_train(model, ctrl, lf.TrainConfig(
+    direct_fm_train(model, ctrl, lf.RunConfig(
         iterations=3000, batch_size=4, lr=1e-3, seed=0, log_every=100))
     pred, _ = model.predict_raw(ctrl.x, DOPRI)
     assert mse(pred, ctrl.y) < 1e-2
@@ -184,7 +184,7 @@ def test_direct_fm_fails_on_crossing_task(toy_direct, toy_ds):
 def test_direct_fm_zero_pads_mismatched_dims():
     ds = lf.synth_regression(16, 3, seed=1)  # d_x=3, d_y=1
     model = build_direct_fm(3, 1, ds.task, hidden=8, depth=2, seed=0)
-    log = direct_fm_train(model, ds, lf.TrainConfig(iterations=3, batch_size=16, lr=1e-3, seed=0))
+    log = direct_fm_train(model, ds, lf.RunConfig(iterations=3, batch_size=16, lr=1e-3, seed=0))
     pred, _ = model.predict_raw(ds.x, EULER1)
     assert pred.shape == (16, 1)
     assert len(log.entries) == 3
@@ -194,8 +194,8 @@ def test_node_early_stopping_restores_best_checkpoint():
     ds = lf.synth_regression(60, 2, seed=2)
     train_ds, val_ds = lf.split(ds, 0.6, seed=0)
     node = build_node_baseline(2, 1, ds.task, hidden=8, depth=2, seed=0)
-    cfg = lf.TrainConfig(iterations=200, batch_size=16, lr=3e-2, seed=0,
-                         eval_interval=2, patience=1)
+    cfg = lf.RunConfig(iterations=200, batch_size=16, lr=3e-2, seed=0,
+                       eval_interval=2, patience=1)
     log = node_baseline_train(node, train_ds, 2, cfg, val_ds=val_ds)
     # validation integrates with the euler:2 solve the loss unrolls
     restored_metric, _ = evaluate_metric(node, val_ds, SolverSpec.euler(2))
@@ -209,15 +209,21 @@ def test_classification_best_val_is_the_observed_accuracy(monkeypatch):
     x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     ds = PairedDataset(x, np.eye(2)[[0, 1, 1, 0]], TaskKind.classification(2))
     spec = lf.ModelSpec(d_x=2, d_y=2, task=ds.task, enc_hidden=8, dyn_hidden=8, dyn_depth=2)
-    cfg = lf.TrainConfig(iterations=2, batch_size=4, seed=0, eval_interval=1)
+    cfg = lf.RunConfig(iterations=2, batch_size=4, seed=0, eval_interval=1)
     log = lf.train(lf.build_model(spec, seed=0), ds, cfg, ds)
     assert log.best_val == 0.1
+
+
+def test_constant_lr_schedule_logs_the_base_rate_at_every_step():
+    cfg = lf.RunConfig(iterations=5, batch_size=4, lr=3e-3, lr_schedule="constant")
+    log = lf.train(make_small_model(), lf.toy_crossing(), cfg)
+    assert [e.lr for e in log.entries] == [cfg.lr] * 5
 
 
 @pytest.mark.parametrize("trainer", ["direct_fm", "node"])
 def test_baselines_reject_mismatched_dims(trainer):
     bad = lf.synth_regression(8, 3, seed=0)  # d_x=3, d_y=1
-    cfg = lf.TrainConfig(iterations=1)
+    cfg = lf.RunConfig(iterations=1)
     with pytest.raises(ValueError, match="do not match model spec"):
         if trainer == "direct_fm":
             direct_fm_train(build_direct_fm(2, 2, bad.task, hidden=4, depth=2), bad, cfg)

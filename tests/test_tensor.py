@@ -258,7 +258,7 @@ def _recorded_ops(loss: Tensor) -> set[str]:
 @pytest.mark.parametrize("method", ["latent_fm", "direct_fm", "node_euler"])
 def test_training_losses_record_only_the_six_primitives(method, monkeypatch):
     ds = lf.toy_crossing()
-    cfg = lf.TrainConfig(iterations=1, batch_size=4, seed=0)
+    cfg = lf.RunConfig(iterations=1, batch_size=4, seed=0)
     losses = []
 
     def recording_backward(loss, params):
