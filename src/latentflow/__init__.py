@@ -7,7 +7,7 @@ the diagnostic metrics used to analyse trajectory straightness.
 
 from .config import RunConfig
 from .data import PairedDataset, TaskKind, load_csv, split, synth_regression, toy_crossing
-from .diagnostics import DiagnosticsReport, build_report, disagreement, knn_probe, nfe_sweep, velocity_cosine_profile
+from .diagnostics import build_report, disagreement, knn_probe, nfe_sweep, velocity_cosine_profile
 from .model import (
     LatentFlowModel,
     ModelSpec,
@@ -21,7 +21,7 @@ from .model import (
     node_baseline_train,
     train,
 )
-from .nn import AdamState, ColumnMap, LinearLayer, Mlp, adam_step, cosine_lr
+from .nn import AdamState, ColumnMap, Mlp, adam_step, cosine_lr
 from .objectives import LossBreakdown, TimeSampler, flow_loss, label_ae_loss, total_loss
 from .schedules import Schedule, get_schedule, interpolate, target_velocity
 from .solvers import SolveResult, SolverSpec, solve, solve_with_grad

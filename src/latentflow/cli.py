@@ -185,7 +185,7 @@ def cmd_train(args) -> int:
     write_run_files(cfg.out, {
         "checkpoint.json": lambda path: save_model(path, model),
         "train_log.jsonl": lambda path: path.write_text("".join(
-            json.dumps(dataclasses.asdict(e), sort_keys=True) + "\n" for e in train_log.entries)),
+            json.dumps(row, sort_keys=True) + "\n" for row in train_log.entries)),
         "manifest.json": lambda path: path.write_text(json.dumps(manifest, indent=2, sort_keys=True)),
     })
     log.info("wrote checkpoint, manifest and log to %s", cfg.out)
@@ -250,8 +250,8 @@ def cmd_diagnose(args) -> int:
     model, ds, _ = _load_run(args)
     report = build_report(model, ds)
     out_dir = Path(args.out) if args.out else Path(args.checkpoint)
-    payload = write_report(report, out_dir)
-    print(json.dumps(payload, sort_keys=True, allow_nan=False))
+    write_report(report, out_dir)
+    print(json.dumps(report, sort_keys=True, allow_nan=False))
     log.info("wrote diagnostics to %s", out_dir)
     return 0
 

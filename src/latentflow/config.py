@@ -185,7 +185,9 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
 def load_config(path) -> RunConfig:
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not valid UTF-8") from None
     except OSError:  # missing, a directory, or a name too long for the file system
         raise ConfigError(f"config file not found: {path}") from None
     return parse_config_text(text, source=str(path))

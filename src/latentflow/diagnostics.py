@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,6 @@ from .solvers import SolverSpec, solve  # noqa: F401  perfbench's patch site; RO
 from .tensor import no_grad
 
 __all__ = [
-    "DiagnosticsReport",
     "disagreement",
     "velocity_cosine_profile",
     "knn_probe",
@@ -172,24 +170,6 @@ def _nfe_sweep(model, ds: PairedDataset, z0: np.ndarray, nfe_list, solved: dict)
     return rows
 
 
-@dataclass
-class DiagnosticsReport:
-    disagreement_fraction: float
-    cosine_profile: list[tuple[float, float]]
-    knn_accuracy_z0: float
-    knn_accuracy_z1hat: float
-    nfe_sweep: list[dict]
-
-    def to_dict(self) -> dict:
-        return {
-            "disagreement_fraction": self.disagreement_fraction,
-            "cosine_profile": [{"t": t, "mean_cosine": c} for t, c in self.cosine_profile],
-            "knn_accuracy_z0": self.knn_accuracy_z0,
-            "knn_accuracy_z1hat": self.knn_accuracy_z1hat,
-            "nfe_sweep": self.nfe_sweep,
-        }
-
-
 def _knn_pair(model, ds: PairedDataset, z0: np.ndarray, z1hat: np.ndarray) -> tuple[float, float]:
     """1-NN probes in the raw-embedding and post-flow spaces.
 
@@ -216,19 +196,20 @@ def _knn_pair(model, ds: PairedDataset, z0: np.ndarray, z1hat: np.ndarray) -> tu
     return acc0, acc1
 
 
-def build_report(model, ds: PairedDataset) -> DiagnosticsReport:
-    """Every diagnostic of ``model`` on ``ds``, sharing one embedding of x and
-    one euler:1 and one dopri5 flow."""
+def build_report(model, ds: PairedDataset) -> dict:
+    """Every diagnostic of ``model`` on ``ds``, as the report.json dict, sharing
+    one embedding of x and one euler:1 and one dopri5 flow."""
     z0 = model.embed(ds.x)
     fast, reference = model.flow(z0, _FAST), model.flow(z0, _REFERENCE)
     acc0, acc1 = _knn_pair(model, ds, z0, reference[1].z_final.data)
-    return DiagnosticsReport(
-        disagreement_fraction=_disagreement(model, fast[0], reference[0]),
-        cosine_profile=velocity_cosine_profile(model, ds, _T_GRID),
-        knn_accuracy_z0=acc0,
-        knn_accuracy_z1hat=acc1,
-        nfe_sweep=_nfe_sweep(model, ds, z0, _NFE_LIST, {_FAST: fast, _REFERENCE: reference}),
-    )
+    return {
+        "disagreement_fraction": _disagreement(model, fast[0], reference[0]),
+        "cosine_profile": [{"t": t, "mean_cosine": c}
+                           for t, c in velocity_cosine_profile(model, ds, _T_GRID)],
+        "knn_accuracy_z0": acc0,
+        "knn_accuracy_z1hat": acc1,
+        "nfe_sweep": _nfe_sweep(model, ds, z0, _NFE_LIST, {_FAST: fast, _REFERENCE: reference}),
+    }
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -238,15 +219,13 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         w.writerows(rows)
 
 
-def write_report(report: DiagnosticsReport, out_dir) -> dict:
-    """Write report.json plus CSVs for the cosine profile and the NFE sweep,
-    all three in place only once all are written."""
-    payload = report.to_dict()
+def write_report(report: dict, out_dir) -> None:
+    """Write ``build_report``'s dict as report.json plus CSVs for the cosine
+    profile and the NFE sweep, all three in place only once all are written."""
     write_run_files(out_dir, {
-        "report.json": lambda path: path.write_text(json.dumps(payload, indent=2, sort_keys=True)),
-        "cosine_profile.csv": lambda path: _write_csv(
-            path, ["t", "mean_cosine"], ([repr(t), repr(c)] for t, c in report.cosine_profile)),
+        "report.json": lambda path: path.write_text(json.dumps(report, indent=2, sort_keys=True)),
+        "cosine_profile.csv": lambda path: _write_csv(path, ["t", "mean_cosine"], (
+            [repr(row["t"]), repr(row["mean_cosine"])] for row in report["cosine_profile"])),
         "nfe_sweep.csv": lambda path: _write_csv(
-            path, ["nfe", "metric"], ([row["nfe"], repr(row["metric"])] for row in report.nfe_sweep)),
+            path, ["nfe", "metric"], ([row["nfe"], repr(row["metric"])] for row in report["nfe_sweep"])),
     })
-    return payload

@@ -47,7 +47,6 @@ __all__ = [
     "save_model",
     "load_model_params",
     "TrainingAbort",
-    "LogEntry",
     "TrainLog",
     "fit",
     "train",
@@ -176,17 +175,16 @@ class LatentFlowModel:
 def _build_dynamics(spec: ModelSpec, rng: np.random.Generator) -> Mlp:
     d = spec.resolved_latent_dim()
     dims = [d] + [spec.dyn_hidden] * (spec.dyn_depth - 1) + [d]
-    return Mlp.build(dims, activation=spec.dyn_activation, time_conditioned=True,
-                     rng=rng, name="dyn")
+    return Mlp(dims, activation=spec.dyn_activation, time_conditioned=True, rng=rng, name="dyn")
 
 
 def build_model(spec: ModelSpec, seed: int = 0) -> LatentFlowModel:
     rng = np.random.default_rng(seed)
     d = spec.resolved_latent_dim()
     enc_dims = [spec.d_x] + [spec.enc_hidden] * (spec.enc_depth - 1) + [d]
-    data_encoder = Mlp.build(enc_dims, activation=spec.enc_activation, rng=rng, name="enc")
-    label_encoder = Mlp.build([spec.d_y, d], activation=spec.enc_activation, rng=rng, name="lenc")
-    label_decoder = Mlp.build([d, spec.d_y], activation=spec.enc_activation, rng=rng, name="ldec")
+    data_encoder = Mlp(enc_dims, activation=spec.enc_activation, rng=rng, name="enc")
+    label_encoder = Mlp([spec.d_y, d], activation=spec.enc_activation, rng=rng, name="lenc")
+    label_decoder = Mlp([d, spec.d_y], activation=spec.enc_activation, rng=rng, name="ldec")
     return LatentFlowModel(spec, data_encoder, label_encoder, label_decoder,
                            _build_dynamics(spec, rng))
 
@@ -211,7 +209,7 @@ def build_node_baseline(d_x: int, d_y: int, task: TaskKind, hidden: int = 64,
     rng = np.random.default_rng(seed)
     spec = ModelSpec(d_x, d_y, task, latent_dim=d_x, dyn_hidden=hidden, dyn_depth=depth)
     dynamics = _build_dynamics(spec, rng)
-    decoder = Mlp.build([d_x, d_y], activation="tanh", rng=rng, name="dec")
+    decoder = Mlp([d_x, d_y], activation="tanh", rng=rng, name="dec")
     return LatentFlowModel(spec, ColumnMap(d_x, d_x), ColumnMap(d_y, d_x), decoder, dynamics)
 
 
@@ -295,18 +293,8 @@ class TrainingAbort(RuntimeError):
 
 
 @dataclass
-class LogEntry:
-    step: int
-    lr: float
-    flow_loss: float
-    ae_loss: float
-    val_metric: float | None = None
-    train_nfe: int = 1
-
-
-@dataclass
 class TrainLog:
-    entries: list[LogEntry]
+    entries: list[dict]  # the train_log.jsonl rows
     stopped_early: bool = False
     best_val: float | None = None
     final_train_nfe_per_step: float = 0.0
@@ -354,7 +342,7 @@ def fit(model: LatentFlowModel, loss_fn: LossFn, train_ds: PairedDataset,
     sampler = TimeSampler(cfg.t_zero_prob, seed=time_ss)
     solver = SolverSpec.parse(cfg.solver)
 
-    entries: list[LogEntry] = []
+    entries: list[dict] = []
     best_snapshot: list[np.ndarray] | None = None
     best_val: float | None = None
     bad_rounds = 0
@@ -386,7 +374,9 @@ def fit(model: LatentFlowModel, loss_fn: LossFn, train_ds: PairedDataset,
             else:
                 bad_rounds += 1
         if step % cfg.log_every == 0 or val_metric is not None or step == cfg.iterations - 1:
-            entries.append(LogEntry(step, lr, bd.flow_loss, bd.label_ae_loss, val_metric, nfe))
+            entries.append({"step": step, "lr": lr, "flow_loss": bd.flow_loss,
+                            "ae_loss": bd.label_ae_loss, "val_metric": val_metric,
+                            "train_nfe": nfe})
         if val_ds is not None and bad_rounds >= cfg.patience:
             stopped_early = True
             break

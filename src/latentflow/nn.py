@@ -7,14 +7,13 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .tensor import GradientMap, ShapeMismatch, Tensor, as_tensor, linear, relu, tanh
 
 __all__ = [
-    "LinearLayer",
     "Mlp",
     "ColumnMap",
     "AdamState",
@@ -33,41 +32,17 @@ class OptimizerError(RuntimeError):
     """Raised on invalid optimizer input (e.g. NaN gradients)."""
 
 
-class LinearLayer:
-    """Affine map x -> x @ W.T + b with W of shape [out, in] and b of shape [out].
+class _Layer(NamedTuple):
+    """x -> x @ weight.T + bias; in a time-conditioned MLP the last column of
+    the [out, in] weight is the time weight (see `latentflow.tensor.linear`)."""
 
-    In a time-conditioned MLP the last column of W is the time weight (see
-    `latentflow.tensor.linear`); ``n_in`` counts that column.
-    """
-
-    def __init__(self, weight: Tensor, bias: Tensor):
-        if weight.ndim != 2 or bias.ndim != 1 or bias.shape[0] != weight.shape[0]:
-            raise ShapeMismatch("linear", weight.shape, bias.shape)
-        self.weight = weight
-        self.bias = bias
-
-    @classmethod
-    def init(cls, n_in: int, n_out: int, rng: np.random.Generator, name: str = "linear"):
-        # uniform Kaiming-style init scaled by 1/sqrt(fan_in)
-        bound = 1.0 / math.sqrt(n_in)
-        w = rng.uniform(-bound, bound, size=(n_out, n_in))
-        b = rng.uniform(-bound, bound, size=n_out)
-        return cls(
-            Tensor(w, requires_grad=True, name=f"{name}.weight"),
-            Tensor(b, requires_grad=True, name=f"{name}.bias"),
-        )
-
-    @property
-    def n_in(self) -> int:
-        return self.weight.shape[1]
-
-    @property
-    def n_out(self) -> int:
-        return self.weight.shape[0]
+    weight: Tensor
+    bias: Tensor
 
 
 class Mlp:
-    """Affine-activation chain; no activation after the final layer.
+    """Affine-activation chain over a [d_in, hidden..., d_out] dimension chain;
+    no activation after the final layer.
 
     When ``time_conditioned`` is set, the time variable is an extra input of
     every layer, held in the last column of its weight, so each layer's input
@@ -78,46 +53,29 @@ class Mlp:
     then goes up once per block for each evaluation its NFE counts.
     """
 
-    def __init__(self, layers: Sequence[LinearLayer], activation: str = "tanh",
-                 time_conditioned: bool = False):
+    def __init__(self, dims: Sequence[int], activation: str = "tanh",
+                 time_conditioned: bool = False, rng: np.random.Generator | None = None,
+                 name: str = "mlp"):
         if activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
-        extra = 1 if time_conditioned else 0
-        for i in range(len(layers) - 1):
-            if layers[i + 1].n_in != layers[i].n_out + extra:
-                raise ShapeMismatch(
-                    f"mlp layer {i + 1}",
-                    layers[i + 1].weight.shape,
-                    layers[i].weight.shape,
-                )
-        self.layers = list(layers)
-        self.activation = activation
-        self.time_conditioned = time_conditioned
-        self.calls = 0
-
-    @classmethod
-    def build(cls, dims: Sequence[int], activation: str = "tanh",
-              time_conditioned: bool = False, rng: np.random.Generator | None = None,
-              name: str = "mlp") -> "Mlp":
-        """Build from a [d_in, hidden..., d_out] dimension chain."""
         if len(dims) < 2:
             raise ValueError("dims must contain at least input and output sizes")
         if rng is None:
             rng = np.random.default_rng(0)
         extra = 1 if time_conditioned else 0
-        layers = [
-            LinearLayer.init(dims[i] + extra, dims[i + 1], rng, name=f"{name}.{i}")
-            for i in range(len(dims) - 1)
-        ]
-        return cls(layers, activation=activation, time_conditioned=time_conditioned)
-
-    @property
-    def d_in(self) -> int:
-        return self.layers[0].n_in - (1 if self.time_conditioned else 0)
-
-    @property
-    def d_out(self) -> int:
-        return self.layers[-1].n_out
+        self.layers = []
+        for i in range(len(dims) - 1):
+            n_in, n_out = dims[i] + extra, dims[i + 1]
+            # uniform Kaiming-style init scaled by 1/sqrt(fan_in)
+            bound = 1.0 / math.sqrt(n_in)
+            w = rng.uniform(-bound, bound, size=(n_out, n_in))
+            b = rng.uniform(-bound, bound, size=n_out)
+            self.layers.append(_Layer(Tensor(w, requires_grad=True, name=f"{name}.{i}.weight"),
+                                      Tensor(b, requires_grad=True, name=f"{name}.{i}.bias")))
+        self.d_in, self.d_out = dims[0], dims[-1]
+        self.activation = activation
+        self.time_conditioned = time_conditioned
+        self.calls = 0
 
     def forward(self, x, t=None) -> Tensor:
         if self.time_conditioned and t is None:
@@ -139,11 +97,7 @@ class Mlp:
         return h
 
     def parameters(self) -> list[Tensor]:
-        out = []
-        for layer in self.layers:
-            out.append(layer.weight)
-            out.append(layer.bias)
-        return out
+        return [p for layer in self.layers for p in layer]
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return [(p.name or str(p.id), p) for p in self.parameters()]
@@ -303,12 +257,14 @@ def save_checkpoint(path, named_params: Sequence[tuple[str, Tensor]]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Parameter arrays by name, as writable native-order float64 copies."""
+    """Parameter arrays by name, as writable native-order float64 copies; a
+    non-finite value is a CheckpointError naming its parameter."""
     try:
         payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise CheckpointError(f"{path}: not valid JSON ({exc})") from None
-    decode = _DECODERS.get(payload.get("format")) if isinstance(payload, dict) else None
+    fmt = payload.get("format") if isinstance(payload, dict) else None
+    decode = _DECODERS.get(fmt) if isinstance(fmt, str) else None
     if decode is None:
         raise CheckpointError(f"unsupported checkpoint format in {path}")
     params = payload.get("params")
@@ -321,6 +277,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             raise CheckpointError(f"{path}: parameter record {i} has no name")
         try:
             out[name] = decode(rec["values"], rec["shape"])
+            if not np.isfinite(out[name]).all():
+                raise ValueError("holds a non-finite value")
         except KeyError as exc:
             raise CheckpointError(f"{path}: parameter {name!r}: missing key {exc}") from None
         except (TypeError, ValueError) as exc:

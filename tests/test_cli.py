@@ -1,5 +1,4 @@
 import contextlib
-import copy
 import csv
 import functools
 import io
@@ -9,6 +8,7 @@ import math
 import operator
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -78,6 +78,14 @@ def test_config_rejects_missing_csv(tmp_path):
 def test_missing_config_file_exits_2(tmp_path, capsys):
     code = main(["train", "--config", str(tmp_path / "absent.cfg")])
     assert code == 2
+
+
+def test_non_utf8_config_file_exits_2_naming_it(tmp_path, caplog):
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_bytes(b"# \xff\xfe\ndataset = toy\n")
+    with caplog.at_level(logging.ERROR, logger="latentflow"):
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert [r.getMessage() for r in caplog.records] == [f"{cfg_path}: not valid UTF-8"]
 
 
 def test_unknown_solver_string_exits_2(tmp_path):
@@ -280,12 +288,19 @@ def _truncate(path):
     path.write_text(path.read_text()[:200])
 
 
-def _as_hexfloat_v1_with_bad_value(path):
-    payload = {"format": "hexfloat-v1", "params": [
-        {"name": name, "shape": list(arr.shape), "values": [v.hex() for v in arr.reshape(-1).tolist()]}
-        for name, arr in load_checkpoint(path).items()]}
-    payload["params"][0]["values"][3] = "0x1.8p+zz"
-    path.write_text(json.dumps(payload))
+def _as_hexfloat_v1_with(value):
+    def malform(path):
+        payload = {"format": "hexfloat-v1", "params": [
+            {"name": name, "shape": list(arr.shape), "values": [v.hex() for v in arr.reshape(-1).tolist()]}
+            for name, arr in load_checkpoint(path).items()]}
+        payload["params"][0]["values"][3] = value
+        path.write_text(json.dumps(payload))
+    return malform
+
+
+def _f64be_hex(value: float) -> str:
+    """One value's 16 hex digits in the f64be-hex-v1 checkpoint format."""
+    return struct.pack(">d", value).hex()
 
 
 def _edit_first_values(edit):
@@ -309,13 +324,19 @@ _MALFORMED = {
     "manifest without normalization": (
         "manifest.json", lambda path: _edit_json(path, lambda m: m.pop("normalization")), None),
     "truncated checkpoint": ("checkpoint.json", _truncate, None),
+    "checkpoint not UTF-8": (
+        "checkpoint.json", lambda path: path.write_bytes(b"\xff" + path.read_bytes()), None),
     "checkpoint without a parameter": (
         "checkpoint.json", lambda path: _edit_json(path, lambda c: c["params"].pop(0)), _FIRST_PARAM),
     "mis-shaped parameter": (
         "checkpoint.json",
         lambda path: _edit_json(path, lambda c: c["params"][0]["shape"].reverse()), _FIRST_PARAM),
-    "hexfloat-v1 value not a hex float": ("checkpoint.json", _as_hexfloat_v1_with_bad_value,
+    "hexfloat-v1 value not a hex float": ("checkpoint.json", _as_hexfloat_v1_with("0x1.8p+zz"),
                                           _FIRST_PARAM),
+    "hexfloat-v1 value infinite": ("checkpoint.json", _as_hexfloat_v1_with("-inf"), _FIRST_PARAM),
+    "NaN parameter value": (
+        "checkpoint.json", _edit_first_values(lambda v: v[:16] + _f64be_hex(math.nan) + v[32:]),
+        _FIRST_PARAM),
     "values not hex": ("checkpoint.json", _edit_first_values(lambda v: "zz" + v[2:]), _FIRST_PARAM),
     "values of the wrong length": ("checkpoint.json", _edit_first_values(lambda v: v[:-2]),
                                    _FIRST_PARAM),
@@ -324,6 +345,8 @@ _MALFORMED = {
         _FIRST_PARAM),
     "parameter record without name": (
         "checkpoint.json", lambda path: _edit_json(path, lambda c: c["params"][0].pop("name")), None),
+    "format not a string": (
+        "checkpoint.json", lambda path: _edit_json(path, lambda c: c.update(format=[])), None),
     "checkpoint without params": (
         "checkpoint.json", lambda path: _edit_json(path, lambda c: c.pop("params")), None),
     "params not a list": (
@@ -344,6 +367,8 @@ _MALFORMED = {
         "manifest.json", _edit_manifest("model_spec", "enc_hidden", "64"), "enc_hidden"),
     "model_spec with a zero width": (
         "manifest.json", _edit_manifest("model_spec", "enc_hidden", 0), "enc_hidden"),
+    "model_spec with an unknown activation": (
+        "manifest.json", _edit_manifest("model_spec", "dyn_activation", "bogus"), None),
     "model_spec with an unknown schedule": (
         "manifest.json", _edit_manifest("model_spec", "schedule", "bogus"), "schedule"),
     "normalization with a string x_std": (
@@ -371,14 +396,15 @@ def test_malformed_run_directory_exits_2_naming_the_file(trained_run, tmp_path, 
 
 @pytest.fixture(scope="module")
 def mutable_run(trained_run, tmp_path_factory):
-    """A copy of the trained run whose manifest a test may rewrite, its
-    manifest, and the stdout of ``eval`` on it."""
+    """A copy of the trained run whose files a test may rewrite, the bytes of
+    its manifest and checkpoint, and the stdout of ``eval`` on it."""
     run = tmp_path_factory.mktemp("mutable") / "run"
     shutil.copytree(trained_run, run)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["eval", "--checkpoint", str(run)]) == 0
-    return run, json.loads((run / "manifest.json").read_text()), out.getvalue()
+    originals = {name: (run / name).read_bytes() for name in ("manifest.json", "checkpoint.json")}
+    return run, originals, out.getvalue()
 
 
 def _json_paths(node, path=()):
@@ -392,19 +418,18 @@ def _json_paths(node, path=()):
 _OTHER_TYPES = [None, True, 0.5, "abc", [], {}]
 
 
-@settings(max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_mutated_manifest_exits_2_or_changes_nothing(mutable_run, capsys, caplog, data):
-    # drop a value, change its type, resize a list or put in a non-finite number:
-    # eval either rejects the manifest in one line or prints exactly what it did
-    run, original, expected = mutable_run
-    manifest = copy.deepcopy(original)
-    how = data.draw(st.sampled_from(["drop", "retype", "resize", "non-finite"]))
+def _mutate(data, payload: dict, how: str) -> None:
+    """Apply one drawn mutation of kind ``how`` to the JSON ``payload`` in place."""
+    if how == "bits":  # one value of one f64be-hex-v1 parameter
+        rec = payload["params"][data.draw(st.integers(0, len(payload["params"]) - 1))]
+        i = 16 * data.draw(st.integers(0, len(rec["values"]) // 16 - 1))
+        bits = _f64be_hex(data.draw(st.sampled_from([math.nan, math.inf, -math.inf])))
+        rec["values"] = rec["values"][:i] + bits + rec["values"][i + 16:]
+        return
     at = functools.partial(functools.reduce, operator.getitem)
-    paths = [p for p in _json_paths(manifest) if how != "resize" or isinstance(at(p, manifest), list)]
+    paths = [p for p in _json_paths(payload) if how != "resize" or isinstance(at(p, payload), list)]
     path = data.draw(st.sampled_from(paths))
-    parent, key = at(path[:-1], manifest), path[-1]
+    parent, key = at(path[:-1], payload), path[-1]
     if how == "drop":
         del parent[key]
     elif how == "retype":
@@ -414,11 +439,32 @@ def test_mutated_manifest_exits_2_or_changes_nothing(mutable_run, capsys, caplog
         parent[key] = parent[key] + parent[key][-1:] if data.draw(st.booleans()) else parent[key][:-1]
     else:
         parent[key] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
-    (run / "manifest.json").write_text(json.dumps(manifest))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_manifest_exits_2_or_changes_nothing(mutable_run, capsys, caplog, data):
+    # in the manifest or the checkpoint, drop a value, change its type, resize a
+    # list or put in a non-finite number, or set one parameter value's bits to
+    # a non-finite one: eval either rejects the run directory in one line or
+    # prints exactly what it did
+    run, originals, expected = mutable_run
+    name = data.draw(st.sampled_from(sorted(originals)))
+    kinds = ["drop", "retype", "resize", "non-finite"]
+    if name == "checkpoint.json":
+        kinds.append("bits")
+    payload = json.loads(originals[name])
+    _mutate(data, payload, data.draw(st.sampled_from(kinds)))
+    (run / name).write_text(json.dumps(payload))
     capsys.readouterr()
     caplog.clear()
-    with caplog.at_level(logging.ERROR, logger="latentflow"):
-        code = main(["eval", "--checkpoint", str(run)])
+    try:
+        with caplog.at_level(logging.ERROR, logger="latentflow"):
+            code = main(["eval", "--checkpoint", str(run)])
+    finally:
+        for original, content in originals.items():
+            (run / original).write_bytes(content)
     out = capsys.readouterr().out
     if code == 0:
         assert out == expected

@@ -228,7 +228,7 @@ def test_synth_generator_is_smooth_enough_to_fit():
     # sanity of the generator: a 64-hidden MLP drives train RMSE below 0.05
     ds = synth_regression(256, 2, seed=11)
     rng = np.random.default_rng(1)
-    mlp = Mlp.build([2, 64, 1], activation="tanh", rng=rng, name="fit")
+    mlp = Mlp([2, 64, 1], activation="tanh", rng=rng, name="fit")
     params = mlp.parameters()
     state = AdamState.for_params(params)
     batches = np.random.default_rng(2)

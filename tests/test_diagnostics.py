@@ -10,7 +10,6 @@ import latentflow as lf
 from latentflow.data import PairedDataset, TaskKind
 import latentflow.diagnostics as diagnostics
 from latentflow.diagnostics import (
-    DiagnosticsReport,
     build_report,
     disagreement,
     knn_probe,
@@ -187,8 +186,8 @@ def test_knn_rejects_bad_inputs():
 def test_post_flow_probe_at_least_as_good_as_raw(toy_latent, toy_ds):
     model, _ = toy_latent
     report = build_report(model, toy_ds)
-    assert report.knn_accuracy_z1hat >= report.knn_accuracy_z0
-    assert report.knn_accuracy_z1hat == 1.0
+    assert report["knn_accuracy_z1hat"] >= report["knn_accuracy_z0"]
+    assert report["knn_accuracy_z1hat"] == 1.0
 
 
 def test_classification_knn_probe_uses_class_labels(toy_ds):
@@ -206,8 +205,8 @@ def test_classification_knn_probe_uses_class_labels(toy_ds):
     lf.train(model, ds, lf.RunConfig(iterations=1500, batch_size=24, lr=2e-3,
                                      seed=0, log_every=100))
     report = build_report(model, ds)
-    assert report.knn_accuracy_z1hat >= report.knn_accuracy_z0
-    assert report.knn_accuracy_z1hat >= 0.9
+    assert report["knn_accuracy_z1hat"] >= report["knn_accuracy_z0"]
+    assert report["knn_accuracy_z1hat"] >= 0.9
 
 
 def test_nfe_sweep_rows(toy_latent, toy_ds):
@@ -227,7 +226,7 @@ def test_build_report_shares_one_solve_per_solver(toy_latent, toy_ds):
     model, _ = toy_latent
     calls = model.dynamics.calls
     report = build_report(model, toy_ds)
-    dopri5_nfe = report.nfe_sweep[-1]["nfe"]
+    dopri5_nfe = report["nfe_sweep"][-1]["nfe"]
     assert model.dynamics.calls - calls == (sum(diagnostics._NFE_LIST) + dopri5_nfe
                                             + len(diagnostics._T_GRID))
 
@@ -235,9 +234,9 @@ def test_build_report_shares_one_solve_per_solver(toy_latent, toy_ds):
 def test_report_serialization(tmp_path, toy_latent, toy_ds):
     model, _ = toy_latent
     report = build_report(model, toy_ds)
-    payload = write_report(report, tmp_path)
+    write_report(report, tmp_path)
     loaded = json.loads((tmp_path / "report.json").read_text())
-    assert loaded == payload
+    assert loaded == report
     for key in ("disagreement_fraction", "cosine_profile", "knn_accuracy_z0",
                 "knn_accuracy_z1hat", "nfe_sweep"):
         assert key in loaded
@@ -246,11 +245,11 @@ def test_report_serialization(tmp_path, toy_latent, toy_ds):
     with (tmp_path / "cosine_profile.csv").open() as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "mean_cosine"]
-    assert len(rows) - 1 == len(report.cosine_profile)
+    assert len(rows) - 1 == len(report["cosine_profile"])
     with (tmp_path / "nfe_sweep.csv").open() as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["nfe", "metric"]
-    assert len(rows) - 1 == len(report.nfe_sweep)
+    assert len(rows) - 1 == len(report["nfe_sweep"])
 
 
 def test_failed_report_write_leaves_previous_report_and_no_temporary_file(tmp_path, toy_latent,
@@ -261,7 +260,7 @@ def test_failed_report_write_leaves_previous_report_and_no_temporary_file(tmp_pa
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert before["nfe_sweep.csv"].startswith(b"nfe,metric\r\n")  # csv's own line ends
     # the sweep CSV is rendered last; a row without a metric fails it
-    broken = DiagnosticsReport(**{**vars(report), "nfe_sweep": [{"nfe": 1}]})
+    broken = {**report, "nfe_sweep": [{"nfe": 1}]}
     with pytest.raises(KeyError):
         write_report(broken, tmp_path)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

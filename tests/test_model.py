@@ -1,5 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import latentflow as lf
 from latentflow.data import PairedDataset, TaskKind
@@ -15,6 +19,7 @@ from latentflow.model import (
     node_baseline_train,
     output_metric,
     save_model,
+    write_run_files,
 )
 from latentflow.schedules import interpolate
 from latentflow.solvers import SolverSpec
@@ -61,7 +66,7 @@ def test_trained_toy_model_fits_with_one_euler_step(toy_latent, toy_ds):
 
 def test_flow_loss_decreases_over_training(toy_latent):
     _, log = toy_latent
-    flows = [e.flow_loss for e in log.entries]
+    flows = [e["flow_loss"] for e in log.entries]
     assert np.median(flows[-100:]) < np.median(flows[:100])
 
 
@@ -154,7 +159,7 @@ def test_node_single_step_solves_linearly_separable_classification():
         iterations=500, batch_size=16, lr=1e-2, seed=0, log_every=100))
     out, _ = node.predict_raw(ds.x, EULER1)
     assert accuracy(np.argmax(out, axis=1), ds.y) == 1.0
-    assert all(e.train_nfe == 1 for e in log.entries)
+    assert all(e["train_nfe"] == 1 for e in log.entries)
 
 
 def test_node_training_nfe_matches_step_count():
@@ -163,7 +168,7 @@ def test_node_training_nfe_matches_step_count():
     log = node_baseline_train(node, ds, 5, lf.RunConfig(
         iterations=6, batch_size=4, lr=1e-3, seed=0))
     assert log.final_train_nfe_per_step == 5
-    assert all(e.train_nfe == 5 for e in log.entries)
+    assert all(e["train_nfe"] == 5 for e in log.entries)
 
 
 def test_direct_fm_fits_non_crossing_control():
@@ -199,7 +204,7 @@ def test_node_early_stopping_restores_best_checkpoint():
     log = node_baseline_train(node, train_ds, 2, cfg, val_ds=val_ds)
     # validation integrates with the euler:2 solve the loss unrolls
     restored_metric, _ = evaluate_metric(node, val_ds, SolverSpec.euler(2))
-    assert log.stopped_early and log.entries[-1].step < cfg.iterations - 1
+    assert log.stopped_early and log.entries[-1]["step"] < cfg.iterations - 1
     assert restored_metric == log.best_val
 
 
@@ -217,7 +222,7 @@ def test_classification_best_val_is_the_observed_accuracy(monkeypatch):
 def test_constant_lr_schedule_logs_the_base_rate_at_every_step():
     cfg = lf.RunConfig(iterations=5, batch_size=4, lr=3e-3, lr_schedule="constant")
     log = lf.train(make_small_model(), lf.toy_crossing(), cfg)
-    assert [e.lr for e in log.entries] == [cfg.lr] * 5
+    assert [e["lr"] for e in log.entries] == [cfg.lr] * 5
 
 
 @pytest.mark.parametrize("trainer", ["direct_fm", "node"])
@@ -250,8 +255,8 @@ def test_latent_width_mismatch_rejected():
     with pytest.raises(ValueError, match="latent width"):
         lf.LatentFlowModel(spec, good.data_encoder, good.label_encoder,
                            good.label_decoder,
-                           lf.Mlp.build([5, 5], time_conditioned=True,
-                                        rng=np.random.default_rng(0)))
+                           lf.Mlp([5, 5], time_conditioned=True,
+                                  rng=np.random.default_rng(0)))
 
 
 def test_default_latent_dim_exceeds_observation_dims():
@@ -270,3 +275,29 @@ def test_classification_predict_argmax_breaks_ties_low():
     ds = PairedDataset(lf.toy_crossing().x, np.eye(2)[[0, 0, 0, 1]], model.task)
     assert evaluate_metric(model, ds, EULER1) == (0.75, 1)
     assert output_metric(model.task, ds, np.zeros((4, 2))) == 0.75
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_failed_writer_leaves_every_existing_file_and_no_temporary(data):
+    # writer k of m has written part of its file when it raises
+    m = data.draw(st.integers(1, 4), label="m")
+    k = data.draw(st.integers(0, m - 1), label="k")
+    names = [f"file{i}.json" for i in range(m)]
+    existing = data.draw(st.dictionaries(st.sampled_from(names + ["other.txt"]),
+                                         st.binary(max_size=32)), label="existing")
+
+    def writer(i):
+        def write(path):
+            path.write_bytes(b"new")
+            if i == k:
+                raise RuntimeError("writer failed")
+        return write
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        for name, content in existing.items():
+            (out / name).write_bytes(content)
+        with pytest.raises(RuntimeError, match="writer failed"):
+            write_run_files(out, {name: writer(i) for i, name in enumerate(names)})
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == existing

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from latentflow.nn import (
     AdamState,
     ColumnMap,
-    LinearLayer,
     Mlp,
     OptimizerError,
     adam_step,
@@ -19,35 +18,38 @@ from latentflow.nn import (
 from latentflow.tensor import ShapeMismatch, Tensor, backward, mean_all, sq_diff_rowsum
 
 
+def _single_layer(weight, time_conditioned=False):
+    """A one-layer Mlp with the given weight and a zero bias."""
+    n_out, n_in = weight.shape
+    mlp = Mlp([n_in - int(time_conditioned), n_out], time_conditioned=time_conditioned)
+    mlp.layers[0].weight.data[...] = weight
+    mlp.layers[0].bias.data[...] = 0.0
+    return mlp
+
+
 def test_zero_initialized_layer_maps_to_zero():
-    layer = LinearLayer(Tensor(np.zeros((3, 2)), requires_grad=True),
-                        Tensor(np.zeros(3), requires_grad=True))
-    mlp = Mlp([layer])
+    mlp = _single_layer(np.zeros((3, 2)))
     out = mlp.forward(np.array([[1.0, -2.0], [0.5, 4.0]]))
     assert np.array_equal(out.data, np.zeros((2, 3)))
 
 
 def test_identity_layer_is_identity():
-    layer = LinearLayer(Tensor(np.eye(3), requires_grad=True),
-                        Tensor(np.zeros(3), requires_grad=True))
-    mlp = Mlp([layer])
+    mlp = _single_layer(np.eye(3))
     x = np.array([[0.25, -1.0, 2.0]])
     assert np.array_equal(mlp.forward(x).data, x)
 
 
 def test_time_conditioned_layer_reads_time_slot():
     # one input feature plus the appended time slot; weights select the slot
-    w = np.array([[0.0, 1.0]])
-    layer = LinearLayer(Tensor(w, requires_grad=True), Tensor(np.zeros(1), requires_grad=True))
-    mlp = Mlp([layer], time_conditioned=True)
+    mlp = _single_layer(np.array([[0.0, 1.0]]), time_conditioned=True)
     out = mlp.forward(np.array([[0.7]]), t=0.25)
     assert out.data[0, 0] == 0.25
 
 
 def test_time_argument_contract():
     rng = np.random.default_rng(0)
-    plain = Mlp.build([2, 2], rng=rng)
-    conditioned = Mlp.build([2, 2], time_conditioned=True, rng=rng)
+    plain = Mlp([2, 2], rng=rng)
+    conditioned = Mlp([2, 2], time_conditioned=True, rng=rng)
     with pytest.raises(ValueError, match="time-conditioned"):
         conditioned.forward(np.zeros((1, 2)))
     with pytest.raises(ValueError, match="not time-conditioned"):
@@ -56,22 +58,15 @@ def test_time_argument_contract():
 
 def test_layer_dimension_mismatch_names_layer_index():
     rng = np.random.default_rng(0)
-    mlp = Mlp.build([3, 4, 2], rng=rng)
+    mlp = Mlp([3, 4, 2], rng=rng)
     with pytest.raises(ShapeMismatch, match="mlp layer 0"):
         mlp.forward(np.zeros((1, 5)))
-
-
-def test_mismatched_layer_chain_rejected():
-    rng = np.random.default_rng(0)
-    layers = [LinearLayer.init(3, 4, rng), LinearLayer.init(5, 2, rng)]
-    with pytest.raises(ShapeMismatch, match="mlp layer 1"):
-        Mlp(layers)
 
 
 @settings(max_examples=40, deadline=None)
 @given(dims=st.lists(st.integers(min_value=1, max_value=8), min_size=2, max_size=5))
 def test_parameter_count_formula(dims):
-    mlp = Mlp.build(dims, rng=np.random.default_rng(0))
+    mlp = Mlp(dims, rng=np.random.default_rng(0))
     expected = sum(dims[i + 1] * dims[i] + dims[i + 1] for i in range(len(dims) - 1))
     assert sum(p.data.size for p in mlp.parameters()) == expected
 
@@ -203,7 +198,7 @@ def test_small_mlp_fits_sine():
     rng = np.random.default_rng(0)
     x = np.linspace(-math.pi, math.pi, 64)[:, None]
     y = np.sin(x)
-    mlp = Mlp.build([1, 32, 1], activation="tanh", rng=rng, name="sin")
+    mlp = Mlp([1, 32, 1], activation="tanh", rng=rng, name="sin")
     params = mlp.parameters()
     state = AdamState.for_params(params)
     loss = None
@@ -216,7 +211,7 @@ def test_small_mlp_fits_sine():
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(1)
-    mlp = Mlp.build([3, 7, 2], activation="relu", rng=rng, name="net")
+    mlp = Mlp([3, 7, 2], activation="relu", rng=rng, name="net")
     path = tmp_path / "ckpt.json"
     save_checkpoint(path, mlp.named_parameters())
     loaded = load_checkpoint(path)

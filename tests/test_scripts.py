@@ -30,6 +30,18 @@ def test_toy_compare_script(tmp_path):
     assert [row["train_nfe_per_step"] for row in table["rows"]] == [1.0, 1.0, 8.0]
 
 
+def test_readme_library_sketch():
+    # the README's library sketch, at 5 training steps
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Library sketch\n\n```python\n(.*?)```", readme, re.S).group(1)
+    code, n = re.subn(r"iterations=5000\b", "iterations=5", block)
+    assert n == 1
+    namespace: dict = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["res"].nfe == 1
+    assert namespace["last"]["step"] == 4
+
+
 def test_synth_nfe_sweep_script(tmp_path):
     proc = _run("synth_nfe_sweep.py", "--out", str(tmp_path), "--iterations", "3", "--n", "32")
     assert proc.returncode == 0, proc.stderr

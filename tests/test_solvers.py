@@ -151,7 +151,7 @@ def test_grad_solve_single_euler_step_constant_dynamics():
     # z1 = z0 + (t1 - t0) * b, so dz1/db is exactly the interval length, and
     # the mean over z1's two entries halves it
     rng = np.random.default_rng(0)
-    f = Mlp.build([2, 2], rng=rng, name="f")
+    f = Mlp([2, 2], rng=rng, name="f")
     weight, bias = f.parameters()
     weight.data = np.zeros_like(weight.data)
 
@@ -174,7 +174,7 @@ def test_grad_solve_gradient_wrt_initial_state_of_constant_field_is_identity():
 @pytest.mark.parametrize("method, expected_nfe", [("euler", 8), ("rk4", 32)])
 def test_grad_solve_matches_finite_differences(method, expected_nfe):
     rng = np.random.default_rng(3)
-    f = Mlp.build([2, 6, 2], activation="tanh", time_conditioned=True, rng=rng, name="f")
+    f = Mlp([2, 6, 2], activation="tanh", time_conditioned=True, rng=rng, name="f")
     x = rng.uniform(-1.0, 1.0, size=(3, 2))
     target = rng.uniform(-1.0, 1.0, size=(3, 2))
 
@@ -200,7 +200,7 @@ def test_grad_solve_rejects_adaptive_and_bad_steps():
 def test_solve_steps_the_same_bits_as_the_grad_solve(text):
     # one fixed-step loop: inference and training integrate identically
     rng = np.random.default_rng(7)
-    f = Mlp.build([3, 8, 3], activation="tanh", time_conditioned=True, rng=rng, name="f")
+    f = Mlp([3, 8, 3], activation="tanh", time_conditioned=True, rng=rng, name="f")
     z0 = rng.uniform(-1.0, 1.0, size=(5, 3))
     spec = SolverSpec.parse(text)
     res = solve(lambda z, t: f.forward(z, t).data, z0, 0.0, 1.0, spec)
@@ -212,8 +212,8 @@ def test_solve_steps_the_same_bits_as_the_grad_solve(text):
 
 def _latent_field(seed: int = 3):
     # the synth-sized dynamics network: latent 34, hidden 64, time-conditioned
-    f = Mlp.build([34, 64, 64, 34], activation="tanh", time_conditioned=True,
-                  rng=np.random.default_rng(seed), name="h")
+    f = Mlp([34, 64, 64, 34], activation="tanh", time_conditioned=True,
+            rng=np.random.default_rng(seed), name="h")
     return f, lambda z, t: f.forward(z, t).data
 
 

@@ -186,7 +186,7 @@ def test_linear_rejects_bad_time_shape():
 
 def test_two_layer_mlp_gradients_match_finite_differences():
     rng = np.random.default_rng(2)
-    mlp = Mlp.build([3, 5, 1], activation="tanh", rng=rng, name="m")
+    mlp = Mlp([3, 5, 1], activation="tanh", rng=rng, name="m")
     x = rng.uniform(-1.0, 1.0, size=(4, 3))
 
     for p in mlp.parameters():
@@ -215,7 +215,7 @@ def test_gradient_linearity(a, b):
 def test_forward_and_gradients_deterministic():
     def build_and_run():
         rng = np.random.default_rng(9)
-        mlp = Mlp.build([2, 4, 2], activation="relu", rng=rng, name="m")
+        mlp = Mlp([2, 4, 2], activation="relu", rng=rng, name="m")
         x = rng.uniform(-1.0, 1.0, size=(5, 2))
         out = mlp.forward(x)
         loss = _sum_of_squares(out)
