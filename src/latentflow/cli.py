@@ -196,6 +196,17 @@ class DimensionMismatch(RuntimeError):
     pass
 
 
+class NonFiniteResult(RuntimeError):
+    """A metric or report value is NaN or infinite, so it has no JSON form."""
+
+
+def _json_line(result) -> str:
+    try:
+        return json.dumps(result, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise NonFiniteResult("a metric or report value is NaN or infinite") from None
+
+
 def _stats(normalization: dict, key: str, n: int) -> np.ndarray:
     """The recorded normalization stat ``key``: a list of ``n`` finite numbers."""
     values = normalization[key]
@@ -242,16 +253,17 @@ def _load_run(args) -> tuple[LatentFlowModel, PairedDataset, RunConfig]:
 def cmd_eval(args) -> int:
     model, ds, cfg = _load_run(args)
     metric, nfe = evaluate_metric(model, ds, SolverSpec.parse(cfg.solver))
-    print(json.dumps({"metric": metric, "nfe_mean": float(nfe)}, sort_keys=True, allow_nan=False))
+    print(_json_line({"metric": metric, "nfe_mean": float(nfe)}))
     return 0
 
 
 def cmd_diagnose(args) -> int:
     model, ds, _ = _load_run(args)
     report = build_report(model, ds)
+    line = _json_line(report)  # before any file is written
     out_dir = Path(args.out) if args.out else Path(args.checkpoint)
     write_report(report, out_dir)
-    print(json.dumps(report, sort_keys=True, allow_nan=False))
+    print(line)
     log.info("wrote diagnostics to %s", out_dir)
     return 0
 
@@ -309,9 +321,10 @@ def _format_table(table: dict) -> str:
 def cmd_compare(args) -> int:
     cfg = _overridden(load_config(args.config), args)
     table = run_comparison(cfg)
+    line = _json_line(table)
     write_run_files(cfg.out, {"comparison.json": lambda path: path.write_text(
         json.dumps(table, indent=2, sort_keys=True))})
-    print(json.dumps(table, sort_keys=True, allow_nan=False))
+    print(line)
     print(_format_table(table), file=sys.stderr)
     return 0
 
@@ -375,7 +388,7 @@ def main(argv=None) -> int:
     except (ConfigError, DataError, CheckpointError) as exc:
         log.error("%s", exc)
         return 2
-    except (TrainingAbort, SolverError, DimensionMismatch) as exc:
+    except (TrainingAbort, SolverError, DimensionMismatch, NonFiniteResult) as exc:
         log.error("%s", exc)
         return 1
 

@@ -13,7 +13,8 @@ at the end: a non-finite entry stays non-finite through every z + c k update.
 z. A 2-D state of more than ``_BLOCK_ROWS`` (1,024) rows is split into
 contiguous blocks of 512 to 1,024 rows, so each step's temporaries stay in
 cache. Euler/RK4 integrate one block at a time through every step; dopri5
-keeps one step control over all rows and evaluates each stage block by block.
+keeps one step control over all rows, and each step runs every block through
+all six stages, keeping full-size only the arrays step control needs.
 On OpenBLAS 0.3.31 a row of a matrix product has the same bits for every row
 count of at least 256, so there the split leaves every result unchanged; a
 trained run's manifest records its BLAS.
@@ -148,19 +149,6 @@ def _row_blocks(n: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _blockwise(f, blocks: list):
-    """``f`` evaluated block by block into one array of the full state's shape."""
-    if len(blocks) == 1:
-        return f
-
-    def field(z, t):
-        k = np.empty_like(z)
-        for rows in blocks:
-            k[rows] = f(z[rows], t)
-        return k
-    return field
-
-
 def solve(f: Callable[[np.ndarray, float], np.ndarray], z0, t0: float, t1: float,
           spec: SolverSpec) -> SolveResult:
     """Integrate dz/dt = f(z, t) from t0 to t1.
@@ -176,7 +164,7 @@ def solve(f: Callable[[np.ndarray, float], np.ndarray], z0, t0: float, t1: float
     z = np.ascontiguousarray(z0, dtype=np.float64)
     blocks = _row_blocks(len(z)) if z.ndim == 2 else [...]  # other shapes: one block
     if spec.kind == "dopri5":
-        return _dopri5(_blockwise(f, blocks), z, t0, t1, spec.rtol, spec.atol)
+        return _dopri5(f, z, blocks, t0, t1, spec.rtol, spec.atol)
     field = lambda zt, t: f(zt.data, t)
     out = np.empty_like(z)
     with no_grad():
@@ -202,12 +190,18 @@ def _initial_step(z, k1, t0, t1, rtol, atol) -> float:
     return float(min(max(h, 1e-9 * span), span))
 
 
-def _dopri5(f, z, t0, t1, rtol, atol):
-    t = t0
-    k = [None] * 7
-    k[0] = np.asarray(f(z, t), dtype=np.float64)
+def _dopri5(f, z0, blocks, t0, t1, rtol, atol):
+    # z0 is copied because an accepted step swaps the z and candidate buffers.
+    # The candidate is stage 6's state, as _DP_A[6] is the 5th-order row. The
+    # other full-size buffers are made after _initial_step's temporaries die.
+    z = z0.copy()
+    k_first = np.empty_like(z)
+    for rows in blocks:
+        k_first[rows] = f(z[rows], t0)
     nfe = 1
-    h = _initial_step(z, k[0], t0, t1, rtol, atol)
+    h = _initial_step(z, k_first, t0, t1, rtol, atol)
+    z_new, k_last, ratio = np.empty_like(z), np.empty_like(z), np.empty_like(z)
+    t = t0
     accepted = rejected = 0
     span = t1 - t0
 
@@ -220,21 +214,23 @@ def _dopri5(f, z, t0, t1, rtol, atol):
             raise SolverError(
                 f"stiff or invalid field: step size underflow at t={t:.6g}"
             )
-        for s in range(1, 7):
-            zs = z + h * sum(a * k[j] for j, a in enumerate(_DP_A[s]) if a != 0.0)
-            k[s] = np.asarray(f(zs, t + _DP_C[s] * h), dtype=np.float64)
+        for rows in blocks:
+            zb, k = z[rows], [k_first[rows]]
+            for s in range(1, 7):
+                zs = zb + h * sum(a * k[j] for j, a in enumerate(_DP_A[s]) if a != 0.0)
+                k.append(np.asarray(f(zs, t + _DP_C[s] * h), dtype=np.float64))
+            z_new[rows], k_last[rows] = zs, k[6]
+            err_vec = h * sum(e * k[j] for j, e in enumerate(_DP_ERR) if e != 0.0)
+            ratio[rows] = err_vec / (atol + rtol * np.maximum(np.abs(zb), np.abs(zs)))
         nfe += 6
-        z_new = z + h * sum(a * k[j] for j, a in enumerate(_DP_A[6]) if a != 0.0)
-        err_vec = h * sum(e * k[j] for j, e in enumerate(_DP_ERR) if e != 0.0)
-        sc = atol + rtol * np.maximum(np.abs(z), np.abs(z_new))
-        err = _rms(err_vec / sc)
+        err = _rms(ratio)
         if not (np.isfinite(err) and np.isfinite(z_new).all()):
             raise SolverError(_NONFINITE)
 
         if err <= 1.0:
-            t_new = t1 if h >= (t1 - t) else t + h
-            t, z = t_new, z_new
-            k[0] = k[6]  # first-same-as-last reuse
+            t = t1 if h >= (t1 - t) else t + h
+            z, z_new = z_new, z
+            k_first, k_last = k_last, k_first  # first-same-as-last reuse
             accepted += 1
         else:
             rejected += 1

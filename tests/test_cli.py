@@ -394,6 +394,24 @@ def test_malformed_run_directory_exits_2_naming_the_file(trained_run, tmp_path, 
         assert (repr(param) if name == "checkpoint.json" else param) in errors[0]
 
 
+@pytest.mark.parametrize("command", [
+    ["eval", "--solver", "euler:1"], ["eval", "--solver", "dopri5"], ["diagnose"]])
+def test_non_finite_result_exits_1_and_writes_nothing(trained_run, tmp_path, capsys, caplog, command):
+    # finite parameters whose outputs overflow: the metrics are infinite
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    _edit_json(run / "checkpoint.json", lambda c: [
+        rec.update(values=_f64be_hex(1e308) * (len(rec["values"]) // 16))
+        for rec in c["params"] if rec["name"] == "d.ldec.0.bias"])
+    files = {path.name: path.read_bytes() for path in run.iterdir()}
+    with caplog.at_level(logging.ERROR, logger="latentflow"):
+        assert main([*command, "--checkpoint", str(run)]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and len(errors[0].splitlines()) == 1 and "infinite" in errors[0]
+    assert capsys.readouterr().out == ""
+    assert {path.name: path.read_bytes() for path in run.iterdir()} == files
+
+
 @pytest.fixture(scope="module")
 def mutable_run(trained_run, tmp_path_factory):
     """A copy of the trained run whose files a test may rewrite, the bytes of

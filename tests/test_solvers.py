@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,6 +248,78 @@ def test_blocked_dopri5_keeps_one_step_control(monkeypatch):
     assert (blocked.nfe, blocked.accepted_steps, blocked.rejected_steps) == (
         whole.nfe, whole.accepted_steps, whole.rejected_steps)
     assert blocked.accepted_steps > 1
+
+
+def _whole_array_dopri5(f, z, t0, t1, rtol, atol):
+    # The Dormand-Prince loop as it was before row blocks: every stage, the
+    # candidate and the error over all rows at once.
+    t, span = t0, t1 - t0
+    k = [None] * 7
+    k[0] = f(z, t)
+    nfe, accepted, rejected = 1, 0, 0
+    h = solvers._initial_step(z, k[0], t0, t1, rtol, atol)
+    while t < t1:
+        remaining = t1 - t
+        if remaining < solvers._MIN_STEP_FRACTION * span:
+            break
+        h = min(h, remaining)
+        for s in range(1, 7):
+            zs = z + h * sum(a * k[j] for j, a in enumerate(solvers._DP_A[s]) if a != 0.0)
+            k[s] = f(zs, t + solvers._DP_C[s] * h)
+        nfe += 6
+        z_new = z + h * sum(a * k[j] for j, a in enumerate(solvers._DP_A[6]) if a != 0.0)
+        err_vec = h * sum(e * k[j] for j, e in enumerate(solvers._DP_ERR) if e != 0.0)
+        err = solvers._rms(err_vec / (atol + rtol * np.maximum(np.abs(z), np.abs(z_new))))
+        if err <= 1.0:
+            t = t1 if h >= (t1 - t) else t + h
+            z, k[0] = z_new, k[6]
+            accepted += 1
+        else:
+            rejected += 1
+        factor = solvers._FACTOR_MAX if err == 0.0 else solvers._SAFETY * err ** solvers._ERR_EXPONENT
+        h = h * min(max(factor, solvers._FACTOR_MIN), solvers._FACTOR_MAX)
+    return z, nfe, accepted, rejected
+
+
+@settings(max_examples=8, deadline=None)
+@given(n=st.one_of(st.integers(960, 1088), st.integers(1984, 2112)),
+       tol=st.sampled_from([0.1, 1e-3, 1e-6]))
+def test_blocked_solvers_equal_whole_array_solves(n, tol):
+    # The latent field with its time input scaled 1,000x varies fast in t, so
+    # at tol 1e-6 dopri5 rejects steps. array_equal across block and whole
+    # row counts pins the OpenBLAS property of
+    # test_blocked_solve_equals_whole_array_grad_solve as well as the solver.
+    f, field = _latent_field()
+    fast = lambda z, t: field(z, 1000.0 * t)
+    z0 = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, 34))
+    res = solve(fast, z0, 0.0, 1.0, SolverSpec.dopri5(tol, tol))
+    z1, *counts = _whole_array_dopri5(fast, z0, 0.0, 1.0, tol, tol)
+    assert np.array_equal(res.z_final.data, z1)
+    assert [res.nfe, res.accepted_steps, res.rejected_steps] == counts
+    assert (res.rejected_steps > 0) == (tol == 1e-6)
+    for spec in (SolverSpec.euler(2), SolverSpec.rk4(1)):
+        res = solve(field, z0, 0.0, 1.0, spec)
+        with no_grad():
+            z1, nfe = solve_with_grad(lambda z, t: f.forward(z, t), Tensor(z0), 0.0, 1.0, spec)
+        assert np.array_equal(res.z_final.data, z1.data)
+        assert res.nfe == nfe
+
+
+def test_dopri5_peak_memory_and_input_unchanged():
+    # Full-size arrays: the state's copy, the candidate, the first and last
+    # stage derivatives, the error ratio and its square in the RMS; the
+    # stages of one block of 1,000 rows add a little.
+    _, field = _latent_field()
+    z0 = np.random.default_rng(13).uniform(-1.0, 1.0, size=(20_000, 34))
+    before = z0.copy()
+    tracemalloc.start()
+    try:
+        solve(field, z0, 0.0, 1.0, SolverSpec.dopri5())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * z0.nbytes
+    assert np.array_equal(z0, before)
 
 
 @pytest.mark.parametrize("text", ["euler:3", "rk4:2", "dopri5"])
