@@ -398,11 +398,13 @@ def test_malformed_run_directory_exits_2_naming_the_file(trained_run, tmp_path, 
     ["eval", "--solver", "euler:1"], ["eval", "--solver", "dopri5"], ["diagnose"]])
 def test_non_finite_result_exits_1_and_writes_nothing(trained_run, tmp_path, capsys, caplog, command):
     # finite parameters whose outputs overflow: the metrics are infinite
+    def huge_decoder_bias(checkpoint):
+        rec = next(rec for rec in checkpoint["params"] if rec["name"] == "d.ldec.0.bias")
+        rec["values"] = _f64be_hex(1e308) * (len(rec["values"]) // 16)
+
     run = tmp_path / "run"
     shutil.copytree(trained_run, run)
-    _edit_json(run / "checkpoint.json", lambda c: [
-        rec.update(values=_f64be_hex(1e308) * (len(rec["values"]) // 16))
-        for rec in c["params"] if rec["name"] == "d.ldec.0.bias"])
+    _edit_json(run / "checkpoint.json", huge_decoder_bias)
     files = {path.name: path.read_bytes() for path in run.iterdir()}
     with caplog.at_level(logging.ERROR, logger="latentflow"):
         assert main([*command, "--checkpoint", str(run)]) == 1

@@ -286,9 +286,11 @@ def _whole_array_dopri5(f, z, t0, t1, rtol, atol):
        tol=st.sampled_from([0.1, 1e-3, 1e-6]))
 def test_blocked_solvers_equal_whole_array_solves(n, tol):
     # The latent field with its time input scaled 1,000x varies fast in t, so
-    # at tol 1e-6 dopri5 rejects steps. array_equal across block and whole
-    # row counts pins the OpenBLAS property of
-    # test_blocked_solve_equals_whole_array_grad_solve as well as the solver.
+    # at tol 1e-6 dopri5 rejects steps. array_equal between blocks of 512 to
+    # 1,024 rows and the whole state pins a BLAS property as well as the
+    # solver's: on OpenBLAS 0.3.31 a row of a matrix product has the same bits
+    # for every row count of at least 256. A BLAS whose kernels depend on the
+    # row count fails this test with a correct solver.
     f, field = _latent_field()
     fast = lambda z, t: field(z, 1000.0 * t)
     z0 = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, 34))
