@@ -251,8 +251,8 @@ def test_blocked_dopri5_keeps_one_step_control(monkeypatch):
 
 
 def _whole_array_dopri5(f, z, t0, t1, rtol, atol):
-    # The Dormand-Prince loop as it was before row blocks: every stage, the
-    # candidate and the error over all rows at once.
+    # Reference Dormand-Prince loop with solve's tableau and step control:
+    # every stage, the candidate and the error over all rows at once.
     t, span = t0, t1 - t0
     k = [None] * 7
     k[0] = f(z, t)
