@@ -19,7 +19,7 @@ import numpy as np
 from .data import PairedDataset
 from .model import output_metric, write_run_files
 from .schedules import interpolate, target_velocity
-from .solvers import SolverSpec, solve  # noqa: F401  perfbench's patch site; ROADMAP item 4 ends it
+from .solvers import SolverSpec, solve  # noqa: F401  perfbench's patch site; ROADMAP item 2 ends it
 from .tensor import no_grad
 
 __all__ = [

@@ -37,7 +37,7 @@ from .data import PairedDataset, TaskKind, denormalize_y
 from .nn import AdamState, CheckpointError, ColumnMap, Mlp, adam_step
 from .objectives import LossBreakdown, TimeSampler, flow_loss, total_loss
 from .schedules import Schedule, get_schedule
-from .solvers import SolveResult, SolverSpec, solve, solve_with_grad
+from .solvers import SolveResult, SolverSpec, _row_blocks, solve, solve_with_grad
 from .tensor import Tensor, backward, mean_all, no_grad, sq_diff_rowsum
 
 __all__ = [
@@ -156,13 +156,25 @@ class LatentFlowModel:
         return out
 
     def embed(self, x) -> np.ndarray:
-        """The data embedding z0 = f(x), computed off the tape."""
+        """The data embedding z0 = f(x), computed off the tape over ``solve``'s
+        row blocks, with the whole-array bits wherever ``solve`` keeps them."""
+        x = np.asarray(x, dtype=np.float64)
+        blocks = _row_blocks(len(x))
         with no_grad():
-            return self.encode_data(np.asarray(x, dtype=np.float64)).data
+            if len(blocks) == 1:
+                return self.encode_data(x).data
+            first = self.encode_data(x[blocks[0]]).data
+            z0 = np.empty((len(x), first.shape[1]))
+            z0[blocks[0]] = first
+            for rows in blocks[1:]:
+                z0[rows] = self.encode_data(x[rows]).data
+        return z0
 
     def flow(self, z0: np.ndarray, solver_spec: SolverSpec) -> tuple[np.ndarray, SolveResult]:
         """Integrate the dynamics from z0 over [0, 1] and decode the final state
-        ``res.z_final``: the one inference path. No gradients."""
+        ``res.z_final``: the one inference path. No gradients. The decoder, one
+        narrow layer, takes all rows at once: on OpenBLAS 0.3.31 the bits of a
+        product with one or two output columns depend on the row count."""
         with no_grad():
             res = solve(lambda z, t: self.velocity(z, t).data, z0, 0.0, 1.0, solver_spec)
             return self.decode_label(res.z_final.data).data, res

@@ -15,9 +15,9 @@ contiguous blocks of 512 to 1,024 rows, so each step's temporaries stay in
 cache. Euler/RK4 integrate one block at a time through every step; dopri5
 keeps one step control over all rows, and each step runs every block through
 all six stages, keeping full-size only the arrays step control needs.
-On OpenBLAS 0.3.31 a row of a matrix product has the same bits for every row
-count of at least 256, so there the split leaves every result unchanged; a
-trained run's manifest records its BLAS.
+On OpenBLAS 0.3.31 a row of a product with at least three output columns has
+the same bits for every row count of at least 256, so there the split leaves
+the results of fields that wide unchanged; a run's manifest records its BLAS.
 
 NFE identities (tested exactly, counted per row, not per block call): Euler
 with n steps costs n evaluations, RK4 costs 4n, and dopri5 with

@@ -228,13 +228,15 @@ def tanh(a) -> Tensor:
 
 
 def relu(a) -> Tensor:
+    """max(a, 0), branch-free: +0.0 for -0.0, and NaN stays NaN, so a NaN
+    input surfaces in the caller's finiteness checks instead of becoming 0."""
     a = as_tensor(a)
-    mask = a.data > 0
+    y = np.maximum(a.data, 0.0)  # not maximum(0.0, a), which keeps -0.0
 
     def backward_fn(g: np.ndarray):
-        return [(a, mask * g)] if a.requires_grad else []
+        return [(a, (y > 0) * g)] if a.requires_grad else []  # y > 0 iff a > 0
 
-    return _result(np.where(mask, a.data, 0.0), "relu", (a,), backward_fn)
+    return _result(y, "relu", (a,), backward_fn)
 
 
 def mean_all(a) -> Tensor:

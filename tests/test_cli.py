@@ -18,11 +18,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import latentflow.cli
+import latentflow.model
 from latentflow.cli import main, resolve_dataset
 from latentflow.config import ConfigError, RunConfig, load_config, parse_config_text
-from latentflow.data import DataError
+from latentflow.data import DataError, apply_normalization
 from latentflow.nn import load_checkpoint
-from latentflow.solvers import SolverError
+from latentflow.solvers import SolverError, SolverSpec
 
 TOY_TRAIN_CFG = """\
 # crossing toy task, full run
@@ -528,6 +529,45 @@ def test_eval_reads_the_metric_and_nfe_of_the_diagnose_sweep(trained_run, tmp_pa
         assert main(["eval", "--checkpoint", str(trained_run), "--solver", solver]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"metric": sweep[label]["metric"], "nfe_mean": float(sweep[label]["nfe"])}
+
+
+@pytest.fixture(scope="module")
+def blocked_run(tmp_path_factory):
+    """A short synth run on 1,100 rows, which solve and embed split in two blocks."""
+    root = tmp_path_factory.mktemp("blockedrun")
+    cfg_path = root / "synth.cfg"
+    cfg_path.write_text("dataset = synth:1100,3,4\niterations = 20\nbatch_size = 256\n"
+                        "lr = 2e-3\nenc_hidden = 16\ndyn_hidden = 16\nseed = 4\n")
+    assert main(["train", "--config", str(cfg_path), "--out", str(root / "run")]) == 0
+    return root / "run"
+
+
+_SOLVER_SPECS = st.one_of(
+    st.builds("euler:{}".format, st.integers(1, 12)),
+    st.builds("rk4:{}".format, st.integers(1, 4)),
+    st.builds("dopri5:{},{}".format, st.sampled_from([1e-1, 1e-2, 1e-3, 1e-4]),
+              st.sampled_from([1e-2, 1e-3, 1e-4, 1e-5])),
+)
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(solver=_SOLVER_SPECS)
+def test_eval_prints_the_metric_and_nfe_of_flow_of_embed(blocked_run, capsys, solver):
+    # eval at any solver prints exactly the metric and NFE of
+    # flow(embed(x), solver) on the run's normalized dataset
+    manifest = json.loads((blocked_run / "manifest.json").read_text())
+    model = latentflow.model.build_model(latentflow.model.ModelSpec.from_dict(manifest["model_spec"]))
+    latentflow.model.load_model_params(blocked_run / "checkpoint.json", model)
+    norm = manifest["normalization"]
+    ds = apply_normalization(resolve_dataset(RunConfig(**manifest["config"])),
+                             *(norm[k] for k in ("x_mean", "x_std", "y_mean", "y_std")))
+    out, res = model.flow(model.embed(ds.x), SolverSpec.parse(solver))
+    expected = {"metric": latentflow.model.output_metric(model.task, ds, out),
+                "nfe_mean": float(res.nfe)}
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(blocked_run), "--solver", solver]) == 0
+    assert capsys.readouterr().out == latentflow.cli._json_line(expected) + "\n"
 
 
 def test_diagnose_writes_report_and_prints_json(trained_run, tmp_path, capsys):

@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import latentflow.data
 from latentflow.data import (
     DataError,
     PairedDataset,
@@ -208,6 +210,36 @@ def test_duplicate_check_matches_row_loop(n, d_x, d_y, seed):
         with pytest.raises(DataError) as err:
             PairedDataset(x, y, TaskKind.regression())
         assert str(err.value).startswith(f"rows {expected[0]} and {expected[1]} share the same x")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=3000),
+    d_x=st.integers(min_value=1, max_value=20),
+    copies=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1), st.booleans()), max_size=6),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_duplicate_check_with_planted_duplicates_matches_row_loop(n, d_x, copies, seed):
+    # distinct random rows, then earlier rows copied over later ones, with the
+    # same y or another; the hash path and, with every hash equal, the exact
+    # sort path must name the row loop's pair
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d_x))
+    y = rng.standard_normal((n, 1))
+    for a, b, same_y in copies:
+        j, i = sorted((int(a * (n - 1)), int(b * (n - 1))))
+        x[i] = x[j]
+        y[i] = y[j] if same_y else y[j] + 1.0
+    expected = _first_conflict_by_loop(x, y)
+    for multiplier in (latentflow.data._ROW_HASH_MULTIPLIER, np.uint64(0)):
+        with mock.patch.object(latentflow.data, "_ROW_HASH_MULTIPLIER", multiplier):
+            if expected is None:
+                assert PairedDataset(x, y, TaskKind.regression()).n == n
+            else:
+                with pytest.raises(DataError) as err:
+                    PairedDataset(x, y, TaskKind.regression())
+                assert str(err.value).startswith(
+                    f"rows {expected[0]} and {expected[1]} share the same x")
 
 
 def test_dataset_rejects_nonfinite():

@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -301,3 +302,45 @@ def test_failed_writer_leaves_every_existing_file_and_no_temporary(data):
         with pytest.raises(RuntimeError, match="writer failed"):
             write_run_files(out, {name: writer(i) for i, name in enumerate(names)})
         assert {p.name: p.read_bytes() for p in out.iterdir()} == existing
+
+
+def _synth_sized_model():
+    # the trained sizes of a synth run: f is 16 -> 64 relu -> 34, d is 34 -> 1
+    return lf.build_model(lf.ModelSpec(16, 1, TaskKind.regression()), seed=7)
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.one_of(st.integers(960, 1088), st.integers(1984, 2112), st.just(1)))
+def test_blocked_encode_and_decode_equal_one_block(n):
+    # embed runs f over solve's row blocks of 512 to 1,024 rows. Equal bits
+    # with one whole-array call pin a BLAS property as well as the model's:
+    # on OpenBLAS 0.3.31 a row of a matrix product with at least three output
+    # columns has the same bits for every row count of at least 256. A BLAS
+    # whose kernels depend on the row count fails this test with a correct
+    # model. d's one output column is such a dependence (n = 1074 in two
+    # blocks changes bits there), so flow decodes all rows at once.
+    model = _synth_sized_model()
+    x = np.random.default_rng(n).standard_normal((n, 16))
+    z0 = model.embed(x)
+    with no_grad():
+        whole = model.encode_data(x).data
+    assert np.array_equal(z0.view(np.uint64), whole.view(np.uint64))
+    out, res = model.flow(z0, EULER1)
+    with no_grad():
+        decoded = model.decode_label(res.z_final.data).data
+    assert np.array_equal(out.view(np.uint64), decoded.view(np.uint64))
+
+
+def test_embed_peak_memory():
+    # blocks keep f's hidden activations to one block's rows: the parent's
+    # whole-array embed peaked at 4.0x its output's bytes
+    model = _synth_sized_model()
+    x = np.random.default_rng(5).standard_normal((20_000, 16))
+    out_bytes = 20_000 * 34 * 8
+    tracemalloc.start()
+    try:
+        model.embed(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * out_bytes

@@ -35,6 +35,16 @@ def test_activation_values():
     assert relu(Tensor([2.5])).data[0] == 2.5
 
 
+def test_relu_forward_bits_match_the_masked_select_and_keep_nan():
+    # relu(x) keeps the bits of np.where(x > 0, x, 0.0): -0.0 becomes +0.0,
+    # which np.maximum(0.0, x) would not do; a NaN stays NaN
+    special = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf]
+    x = np.concatenate([special, np.random.default_rng(0).standard_normal(200)])
+    got = relu(Tensor(x)).data
+    assert np.array_equal(got.view(np.uint64), np.where(x > 0, x, 0.0).view(np.uint64))
+    assert np.isnan(relu(Tensor([np.nan])).data[0])
+
+
 def test_mean_value():
     assert mean_all(Tensor([1.0, 2.0, 3.0, 6.0])).item() == 3.0
 
