@@ -23,10 +23,6 @@ __all__ = [
 ]
 
 
-# K of the duplicate check's row hash, sum_j (2j + 1) K w_j mod 2**64 (odd).
-_ROW_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
-
-
 class DataError(ValueError):
     """Malformed or inconsistent dataset input."""
 
@@ -104,13 +100,18 @@ class PairedDataset:
         """Raise on the first row i (in row order) whose x bytes equal those of
         an earlier row j, the first with those bytes, while y differs.
 
-        Equal rows hash equal, so distinct hashes of the rows' 64-bit words end
-        the check. Otherwise sorting the x rows as raw bytes puts equal rows
-        next to each other; the smallest row index of each run is its j.
+        Equal rows hash equal, so distinct hashes of the rows' 64-bit words w
+        end the check. Each hash is sum_j K**(j+1) (w_j ^ (w_j >> 29)) mod 2**64:
+        the shift moves the exponent into the low bits (integer-valued x has
+        zeros there), and the powers of the odd K are distinct odd multipliers.
+        Otherwise sorting the x rows as raw bytes puts equal rows next to each
+        other; the smallest row index of each run is its j.
         """
         n, d = self.x.shape
-        multipliers = np.arange(1, 2 * d, 2, dtype=np.uint64) * _ROW_HASH_MULTIPLIER  # odd
-        h = np.sort(np.einsum("ij,j->i", self.x.view(np.uint64), multipliers))  # wraps
+        mixed = self.x.view(np.uint64) >> np.uint64(29)
+        mixed ^= self.x.view(np.uint64)
+        powers = np.cumprod(np.full(d, 0x9E3779B97F4A7C15, dtype=np.uint64))  # wraps
+        h = np.sort(np.einsum("ij,j->i", mixed, powers))  # wraps
         if not (h[1:] == h[:-1]).any():
             return
         if d == 0:  # no features: all x rows are equal

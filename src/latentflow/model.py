@@ -157,13 +157,12 @@ class LatentFlowModel:
 
     def embed(self, x) -> np.ndarray:
         """The data embedding z0 = f(x), computed off the tape over ``solve``'s
-        row blocks, with the whole-array bits wherever ``solve`` keeps them."""
+        row blocks. On OpenBLAS 0.3.31 it has the whole-array bits when every
+        layer of f has at least three output columns (see ``solvers``)."""
         x = np.asarray(x, dtype=np.float64)
         blocks = _row_blocks(len(x))
         with no_grad():
-            if len(blocks) == 1:
-                return self.encode_data(x).data
-            first = self.encode_data(x[blocks[0]]).data
+            first = self.encode_data(x[blocks[0]]).data  # its width: stubs have no f
             z0 = np.empty((len(x), first.shape[1]))
             z0[blocks[0]] = first
             for rows in blocks[1:]:

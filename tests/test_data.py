@@ -1,11 +1,9 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import latentflow.data
 from latentflow.data import (
     DataError,
     PairedDataset,
@@ -191,18 +189,37 @@ def _first_conflict_by_loop(x, y):
     return None
 
 
+def _few_values(rng, n, d_x, d_y):
+    # few distinct values, including -0.0 next to 0.0 (equal values, different bytes)
+    return (rng.choice([0.0, -0.0, 1.5], size=(n, d_x)),
+            rng.choice([0.0, -0.0, 2.0], size=(n, d_y)))
+
+
+def _planted_copies(rng, n, d_x, d_y):
+    # distinct random rows, then up to six earlier rows copied over later
+    # ones, with the same y or another; with no copy every row hash differs
+    x, y = rng.standard_normal((n, d_x)), rng.standard_normal((n, d_y))
+    for _ in range(rng.integers(0, 7)):
+        j, i = np.sort(rng.integers(0, n, size=2))
+        x[i] = x[j]
+        y[i] = y[j] + (0.0 if rng.random() < 0.5 else 1.0)
+    return x, y
+
+
 @settings(max_examples=80, deadline=None)
 @given(
-    n=st.integers(min_value=1, max_value=20),
-    d_x=st.integers(min_value=1, max_value=3),
+    case=st.one_of(
+        st.tuples(st.just(_few_values), st.integers(1, 20), st.integers(1, 3)),
+        st.tuples(st.just(_planted_copies), st.integers(1, 3000), st.integers(1, 20)),
+    ),
     d_y=st.integers(min_value=1, max_value=2),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_duplicate_check_matches_row_loop(n, d_x, d_y, seed):
-    # few distinct values, including -0.0 next to 0.0 (equal values, different bytes)
-    rng = np.random.default_rng(seed)
-    x = rng.choice([0.0, -0.0, 1.5], size=(n, d_x))
-    y = rng.choice([0.0, -0.0, 2.0], size=(n, d_y))
+def test_duplicate_check_matches_row_loop(case, d_y, seed):
+    # equal x rows hash equal, so data with duplicates reaches the exact
+    # byte sort and data without them returns after the hash
+    make, n, d_x = case
+    x, y = make(np.random.default_rng(seed), n, d_x, d_y)
     expected = _first_conflict_by_loop(x, y)
     if expected is None:
         assert PairedDataset(x, y, TaskKind.regression()).n == n
@@ -210,36 +227,6 @@ def test_duplicate_check_matches_row_loop(n, d_x, d_y, seed):
         with pytest.raises(DataError) as err:
             PairedDataset(x, y, TaskKind.regression())
         assert str(err.value).startswith(f"rows {expected[0]} and {expected[1]} share the same x")
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    n=st.integers(min_value=1, max_value=3000),
-    d_x=st.integers(min_value=1, max_value=20),
-    copies=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1), st.booleans()), max_size=6),
-    seed=st.integers(min_value=0, max_value=2**16),
-)
-def test_duplicate_check_with_planted_duplicates_matches_row_loop(n, d_x, copies, seed):
-    # distinct random rows, then earlier rows copied over later ones, with the
-    # same y or another; the hash path and, with every hash equal, the exact
-    # sort path must name the row loop's pair
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, d_x))
-    y = rng.standard_normal((n, 1))
-    for a, b, same_y in copies:
-        j, i = sorted((int(a * (n - 1)), int(b * (n - 1))))
-        x[i] = x[j]
-        y[i] = y[j] if same_y else y[j] + 1.0
-    expected = _first_conflict_by_loop(x, y)
-    for multiplier in (latentflow.data._ROW_HASH_MULTIPLIER, np.uint64(0)):
-        with mock.patch.object(latentflow.data, "_ROW_HASH_MULTIPLIER", multiplier):
-            if expected is None:
-                assert PairedDataset(x, y, TaskKind.regression()).n == n
-            else:
-                with pytest.raises(DataError) as err:
-                    PairedDataset(x, y, TaskKind.regression())
-                assert str(err.value).startswith(
-                    f"rows {expected[0]} and {expected[1]} share the same x")
 
 
 def test_dataset_rejects_nonfinite():

@@ -23,7 +23,7 @@ from latentflow.model import (
     write_run_files,
 )
 from latentflow.schedules import interpolate
-from latentflow.solvers import SolverSpec
+from latentflow.solvers import SolverSpec, _row_blocks
 from latentflow.tensor import no_grad
 
 from conftest import TOY_LATENT_CFG, make_small_model
@@ -304,27 +304,34 @@ def test_failed_writer_leaves_every_existing_file_and_no_temporary(data):
         assert {p.name: p.read_bytes() for p in out.iterdir()} == existing
 
 
-def _synth_sized_model():
+def _synth_sized_model(latent_dim=None):
     # the trained sizes of a synth run: f is 16 -> 64 relu -> 34, d is 34 -> 1
-    return lf.build_model(lf.ModelSpec(16, 1, TaskKind.regression()), seed=7)
+    return lf.build_model(lf.ModelSpec(16, 1, TaskKind.regression(), latent_dim=latent_dim),
+                          seed=7)
 
 
-@settings(max_examples=12, deadline=None)
-@given(n=st.one_of(st.integers(960, 1088), st.integers(1984, 2112), st.just(1)))
-def test_blocked_encode_and_decode_equal_one_block(n):
-    # embed runs f over solve's row blocks of 512 to 1,024 rows. Equal bits
-    # with one whole-array call pin a BLAS property as well as the model's:
-    # on OpenBLAS 0.3.31 a row of a matrix product with at least three output
-    # columns has the same bits for every row count of at least 256. A BLAS
-    # whose kernels depend on the row count fails this test with a correct
-    # model. d's one output column is such a dependence (n = 1074 in two
-    # blocks changes bits there), so flow decodes all rows at once.
-    model = _synth_sized_model()
+@settings(max_examples=16, deadline=None)
+@given(n=st.one_of(st.integers(960, 1088), st.integers(1984, 2112), st.just(1)),
+       latent_dim=st.sampled_from([None, 2]))
+def test_blocked_encode_and_decode_equal_one_block(n, latent_dim):
+    # embed runs f over solve's row blocks of 512 to 1,024 rows, whatever
+    # f's widths. Equal bits with one whole-array call pin a BLAS property as
+    # well as the model's: on OpenBLAS 0.3.31 a row of a matrix product with
+    # at least three output columns has the same bits for every row count of
+    # at least 256. A BLAS whose kernels depend on the row count fails this
+    # test with a correct model. Narrower products are such a dependence: with
+    # a latent width of 2, f's 64 -> 2 layer changes bits at n = 1074 in two
+    # blocks, so that f is compared with its blocks only, and flow decodes
+    # d's one output column over all rows at once.
+    model = _synth_sized_model(latent_dim)
     x = np.random.default_rng(n).standard_normal((n, 16))
     z0 = model.embed(x)
     with no_grad():
+        blocks = [model.encode_data(x[rows]).data for rows in _row_blocks(n)]
         whole = model.encode_data(x).data
-    assert np.array_equal(z0.view(np.uint64), whole.view(np.uint64))
+    assert np.array_equal(z0.view(np.uint64), np.concatenate(blocks).view(np.uint64))
+    if latent_dim is None:
+        assert np.array_equal(z0.view(np.uint64), whole.view(np.uint64))
     out, res = model.flow(z0, EULER1)
     with no_grad():
         decoded = model.decode_label(res.z_final.data).data
