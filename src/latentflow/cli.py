@@ -277,7 +277,7 @@ def run_comparison(cfg: RunConfig) -> dict:
     specs = {
         "metric_euler1": SolverSpec.euler(1),
         f"metric_euler{cfg.node_steps}": SolverSpec.euler(cfg.node_steps),
-        "metric_dopri5": SolverSpec.dopri5(1e-3, 1e-3),
+        "metric_dopri5": SolverSpec.dopri5(),
     }
     node_cfg = cfg if cfg.node_lr <= 0 else dataclasses.replace(cfg, lr=cfg.node_lr)
     baseline = dict(hidden=cfg.dyn_hidden, depth=cfg.dyn_depth, seed=cfg.seed)

@@ -36,7 +36,7 @@ _KNN_BLOCK_BYTES = 16 * 2**20  # working-set bound of one knn_probe block
 # The one-step solver under test, and the adaptive solver every diagnostic
 # treats as the faithful integration of the learned field.
 _FAST = SolverSpec.euler(1)
-_REFERENCE = SolverSpec.dopri5(1e-3, 1e-3)
+_REFERENCE = SolverSpec.dopri5()
 _T_GRID = np.linspace(0.0, 1.0, 21)
 _NFE_LIST = (1, 2, 5, 10, 50, 100)
 

@@ -21,7 +21,9 @@ the results of fields that wide unchanged; a run's manifest records its BLAS.
 
 NFE identities (tested exactly, counted per row, not per block call): Euler
 with n steps costs n evaluations, RK4 costs 4n, and dopri5 with
-first-same-as-last stage reuse costs 1 + 6 * (accepted + rejected).
+first-same-as-last stage reuse costs 1 + 6 * (accepted + rejected). dopri5's
+first step follows Hairer's rule without its trial evaluation, so it grows
+as the tolerance loosens and a straight flow takes few steps.
 """
 
 from __future__ import annotations
@@ -177,16 +179,19 @@ def solve(f: Callable[[np.ndarray, float], np.ndarray], z0, t0: float, t1: float
 
 
 def _initial_step(z, k1, t0, t1, rtol, atol) -> float:
-    # First-derivative heuristic only: a trial-step refinement would cost an
-    # extra field evaluation and break the NFE identity.
+    # Hairer, Norsett and Wanner's start (Solving ODEs I, II.4), h = min(100 h0,
+    # (0.01 / d1)^(1/5)) with h0 = 0.01 d0 / d1, d0 and d1 being the state's and
+    # velocity's RMS in the tolerance's scale: a looser tolerance starts longer.
+    # Its trial step is left out, as that evaluation would break nfe = 1 + 6 *
+    # (accepted + rejected). The floor at h0 keeps a state large next to its
+    # velocity from starting below h0, where the root alone would cost steps.
     span = t1 - t0
     sc = atol + rtol * np.abs(z)
     d0 = _rms(z / sc)
     d1 = _rms(k1 / sc)
-    if d0 < 1e-5 or d1 < 1e-5:
-        h = 1e-6 * span
-    else:
-        h = 0.01 * d0 / d1
+    h = 1e-6 * span if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    if d1 > 0.0:
+        h = max(h, min(100.0 * h, (0.01 / d1) ** 0.2))
     return float(min(max(h, 1e-9 * span), span))
 
 

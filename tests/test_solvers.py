@@ -97,6 +97,52 @@ def test_nfe_identities_on_random_linear_fields(seed, n, tol):
             assert res.nfe == expected
 
 
+def _constant_field_case(seed: int):
+    # Entries of magnitude 1e-3 to 1e2 in both z0 and v keep d0 and d1 (the
+    # RMS of z0 and v in the tolerance's scale) at or above 1e-5 for every
+    # tolerance drawn, outside the starting rule's fallback step.
+    rng = np.random.default_rng(seed)
+    shape = tuple(rng.integers(1, 9, size=2))
+    z0, v = (rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-3.0, 2.0, shape)
+             for _ in range(2))
+    return z0, v
+
+
+def _scaled_rms(a, z0, tol):
+    return solvers._rms(a / (tol + tol * np.abs(z0)))
+
+
+_LOOSENING_TOLS = (1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 1e-1)
+
+
+@settings(max_examples=500, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_dopri5_nfe_on_straight_flows_falls_as_tolerance_loosens(seed):
+    # A constant field is a straight flow: every step's error estimate is
+    # roundoff, so the NFE is set by the first step alone, which must not
+    # shrink as the tolerance loosens.
+    z0, v = _constant_field_case(seed)
+    nfes = [solve(lambda z, t: v, z0, 0.0, 1.0, SolverSpec.dopri5(tol, tol)).nfe
+            for tol in _LOOSENING_TOLS]
+    assert nfes == sorted(nfes, reverse=True)
+    # A state at least as large as its velocity in the tolerance's scale
+    # takes at most two steps at tol 0.1 (the previous start took 25-31 NFE).
+    if _scaled_rms(z0, z0, 0.1) >= _scaled_rms(v, z0, 0.1):
+        assert nfes[-1] <= 13
+
+
+@pytest.mark.parametrize("tol", [1e-1, 1e-3, 1e-6])
+def test_dopri5_large_state_with_slow_velocity_takes_one_step(tol):
+    # d0 / d1 is 5e4 here: the 1/5-root start alone would begin below
+    # 0.01 d0 / d1 and take 13 NFE at tol 1e-3 and 1e-6; the floor at
+    # 0.01 d0 / d1 keeps the single step.
+    z0 = 50.0 * np.ones((8, 4))
+    v = np.full_like(z0, 1e-3)
+    res = solve(lambda z, t: v, z0, 0.0, 1.0, SolverSpec.dopri5(tol, tol))
+    assert res.nfe == 7
+    assert np.allclose(res.z_final.data, z0 + v, rtol=0.0, atol=1e-12)
+
+
 def test_dopri5_counts_rejections():
     # stiff decay at loose initial step forces at least one rejection
     res = solve(lambda z, t: -80.0 * z, np.array([1.0]), 0.0, 1.0,
@@ -189,6 +235,25 @@ def test_grad_solve_matches_finite_differences(method, expected_nfe):
     assert nfe == expected_nfe
     worst = max(grad_check(loss_of, p) for p in f.parameters())
     assert worst < 1e-4
+
+
+@settings(max_examples=30, deadline=None)
+@given(method=st.sampled_from(["euler", "rk4"]), n=st.integers(min_value=1, max_value=7),
+       seed=st.integers(min_value=0, max_value=2**16))
+def test_grad_solve_gradients_match_finite_differences(method, n, seed):
+    # Odd and even step counts: a sign error in an update's backward flips
+    # once per step, so an even count alone can cancel it.
+    rng = np.random.default_rng(seed)
+    f = Mlp([2, 5, 2], activation="tanh", time_conditioned=True, rng=rng, name="f")
+    z0 = Tensor(rng.uniform(-1.0, 1.0, size=(3, 2)), requires_grad=True)
+    target = Tensor(rng.uniform(-1.0, 1.0, size=(3, 2)))
+    spec = SolverSpec(method, n)
+
+    def loss_of(_):
+        z1, _nfe = solve_with_grad(lambda z, t: f.forward(z, t), z0, 0.0, 1.0, spec)
+        return mean_all(sq_diff_rowsum(z1, target))
+
+    assert max(grad_check(loss_of, p) for p in [z0, *f.parameters()]) < 1e-4
 
 
 def test_grad_solve_rejects_adaptive_and_bad_steps():
