@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import nn
 from .config import ConfigError, RunConfig, load_config
 from .data import (
     DataError,
@@ -47,11 +48,9 @@ from .model import (
     load_model_params,
     mse,
     node_baseline_train,
-    save_model,
     train,
     write_run_files,
 )
-from .nn import CheckpointError
 from .solvers import SolverError, SolverSpec
 
 log = logging.getLogger("latentflow")
@@ -77,10 +76,8 @@ def resolve_dataset(cfg: RunConfig) -> PairedDataset:
         return synth_regression(*args)
     x_cols = [c.strip() for c in cfg.x_cols.split(",") if c.strip()]
     y_cols = [c.strip() for c in cfg.y_cols.split(",") if c.strip()]
-    if cfg.task == "classification":
-        task = TaskKind.classification(cfg.num_classes) if cfg.num_classes else "classification"
-    else:
-        task = TaskKind.regression()
+    # load_csv infers the class count when num_classes is 0
+    task = TaskKind.classification(cfg.num_classes) if cfg.num_classes else cfg.task
     return load_csv(*args, x_cols, y_cols, task)
 
 
@@ -183,7 +180,7 @@ def cmd_train(args) -> int:
 
     # the manifest goes into place last
     write_run_files(cfg.out, {
-        "checkpoint.json": lambda path: save_model(path, model),
+        "checkpoint.json": lambda path: nn.save_checkpoint(path, model.named_parameters()),
         "train_log.jsonl": lambda path: path.write_text("".join(
             json.dumps(row, sort_keys=True) + "\n" for row in train_log.entries)),
         "manifest.json": lambda path: path.write_text(json.dumps(manifest, indent=2, sort_keys=True)),
@@ -232,14 +229,13 @@ def _load_run(args) -> tuple[LatentFlowModel, PairedDataset, RunConfig]:
         cfg = RunConfig(**manifest["config"])
         norm = [_stats(manifest["normalization"], k, n) for k, n in (
             ("x_mean", spec.d_x), ("x_std", spec.d_x), ("y_mean", spec.d_y), ("y_std", spec.d_y))]
-        model = build_model(spec)  # every parameter is then loaded, whatever the seed
     except json.JSONDecodeError as exc:
-        raise CheckpointError(f"{manifest_path}: not valid JSON ({exc})") from None
+        raise nn.CheckpointError(f"{manifest_path}: not valid JSON ({exc})") from None
     except KeyError as exc:
-        raise CheckpointError(f"{manifest_path}: missing key {exc}") from None
+        raise nn.CheckpointError(f"{manifest_path}: missing key {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
-        raise CheckpointError(f"{manifest_path}: {exc}") from None
-    load_model_params(checkpoint_dir / "checkpoint.json", model)
+        raise nn.CheckpointError(f"{manifest_path}: {exc}") from None
+    model = load_model_params(checkpoint_dir / "checkpoint.json", spec)
     cfg = _overridden(cfg, args)
     ds = resolve_dataset(cfg)
     if ds.d_x != spec.d_x or ds.d_y != spec.d_y:
@@ -385,7 +381,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataError, CheckpointError) as exc:
+    except (ConfigError, DataError, nn.CheckpointError) as exc:
         log.error("%s", exc)
         return 2
     except (TrainingAbort, SolverError, DimensionMismatch, NonFiniteResult) as exc:

@@ -44,9 +44,10 @@ def check_value(name: str, value, kind: str, low=None) -> None:
         raise ConfigError(f"{name} must be >= {low}, got {value}")
 
 
-def check_schedule(schedule) -> None:
-    if not isinstance(schedule, str) or schedule not in SCHEDULES:
-        raise ConfigError(f"unknown schedule {schedule!r}; expected one of {sorted(SCHEDULES)}")
+def check_choice(name: str, value, choices) -> None:
+    """Raise ConfigError naming ``name`` unless ``value`` is a string in ``choices``."""
+    if not isinstance(value, str) or value not in choices:
+        raise ConfigError(f"unknown {name} {value!r}; expected one of {sorted(choices)}")
 
 
 @dataclass(frozen=True)
@@ -92,19 +93,16 @@ class RunConfig:
             check_value(name, getattr(self, name), kind, _LOW.get(name))
         if not self.lr > 0:
             raise ConfigError(f"lr must be > 0, got {self.lr}")
-        if self.lr_schedule not in ("cosine", "constant"):
-            raise ConfigError(f"unknown lr_schedule {self.lr_schedule!r}")
+        check_choice("lr_schedule", self.lr_schedule, ("cosine", "constant"))
         if not 0.0 <= self.t_zero_prob <= 1.0:
             raise ConfigError(f"t_zero_prob must be in [0, 1], got {self.t_zero_prob}")
-        check_schedule(self.schedule)
-        if self.task not in ("regression", "classification"):
-            raise ConfigError(f"unknown task {self.task!r}")
+        check_choice("schedule", self.schedule, SCHEDULES)
+        check_choice("task", self.task, ("regression", "classification"))
         if self.task == "classification" and not self.dataset.startswith("csv:"):
             raise ConfigError(f"task = classification needs a csv dataset, got {self.dataset!r}")
         if self.num_classes > 0 and self.task != "classification":
             raise ConfigError(f"num_classes = {self.num_classes} needs task = classification")
-        if self.standardize not in ("auto", "on", "off"):
-            raise ConfigError(f"standardize must be auto|on|off, got {self.standardize!r}")
+        check_choice("standardize", self.standardize, ("auto", "on", "off"))
         if not 0.0 <= self.val_split < 1.0:
             raise ConfigError(f"val_split must be in [0, 1), got {self.val_split}")
         try:

@@ -25,18 +25,20 @@ validation and final metrics, `compare` and `diagnose` all solve through it.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .config import RunConfig, check_schedule, check_value
+from . import nn
+from .config import RunConfig, check_choice, check_value
 from .data import PairedDataset, TaskKind, denormalize_y
 from .nn import AdamState, CheckpointError, ColumnMap, Mlp, adam_step
 from .objectives import LossBreakdown, TimeSampler, flow_loss, total_loss
-from .schedules import Schedule, get_schedule
+from .schedules import SCHEDULES, Schedule, get_schedule
 from .solvers import SolveResult, SolverSpec, _row_blocks, solve, solve_with_grad
 from .tensor import Tensor, backward, mean_all, no_grad, sq_diff_rowsum
 
@@ -44,7 +46,6 @@ __all__ = [
     "ModelSpec",
     "LatentFlowModel",
     "build_model",
-    "save_model",
     "load_model_params",
     "TrainingAbort",
     "TrainLog",
@@ -89,7 +90,9 @@ class ModelSpec:
             check_value(name, getattr(self, name), "int", 1)
         if self.latent_dim is not None:
             check_value("latent_dim", self.latent_dim, "int", 1)
-        check_schedule(self.schedule)
+        check_choice("schedule", self.schedule, SCHEDULES)
+        check_choice("enc_activation", self.enc_activation, nn._ACTIVATIONS)
+        check_choice("dyn_activation", self.dyn_activation, nn._ACTIVATIONS)
 
     def resolved_latent_dim(self) -> int:
         if self.latent_dim is not None:
@@ -145,15 +148,11 @@ class LatentFlowModel:
         return self.dynamics.forward(z, t)
 
     def parameters(self) -> list[Tensor]:
-        return (self.data_encoder.parameters() + self.label_encoder.parameters()
-                + self.label_decoder.parameters() + self.dynamics.parameters())
+        return [p for _, p in self.named_parameters()]
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for prefix, net in (("f", self.data_encoder), ("g", self.label_encoder),
-                            ("d", self.label_decoder), ("h", self.dynamics)):
-            out.extend((f"{prefix}.{name}", p) for name, p in net.named_parameters())
-        return out
+        return (self.data_encoder.named_parameters() + self.label_encoder.named_parameters()
+                + self.label_decoder.named_parameters() + self.dynamics.named_parameters())
 
     def embed(self, x) -> np.ndarray:
         """The data embedding z0 = f(x), computed off the tape over ``solve``'s
@@ -183,21 +182,33 @@ class LatentFlowModel:
         return self.flow(self.embed(x), solver_spec)
 
 
-def _build_dynamics(spec: ModelSpec, rng: np.random.Generator) -> Mlp:
+def _dims(d_in: int, hidden: int, depth: int, d_out: int) -> Iterable[int]:
+    """d_in, hidden x (depth - 1), d_out, lazily: no list as long as ``depth``."""
+    return itertools.chain((d_in,), itertools.repeat(hidden, depth - 1), (d_out,))
+
+
+def _build_dynamics(spec: ModelSpec, rng: np.random.Generator | None,
+                    params: dict[str, np.ndarray] | None = None) -> Mlp:
     d = spec.resolved_latent_dim()
-    dims = [d] + [spec.dyn_hidden] * (spec.dyn_depth - 1) + [d]
-    return Mlp(dims, activation=spec.dyn_activation, time_conditioned=True, rng=rng, name="dyn")
+    return Mlp(_dims(d, spec.dyn_hidden, spec.dyn_depth, d), activation=spec.dyn_activation,
+               time_conditioned=True, rng=rng, name="dyn", prefix="h.", params=params)
+
+
+def _latent_model(spec: ModelSpec, rng: np.random.Generator | None = None,
+                  params: dict[str, np.ndarray] | None = None) -> LatentFlowModel:
+    """The networks of ``spec``, drawn from ``rng`` or taken out of ``params``."""
+    d = spec.resolved_latent_dim()
+    enc = dict(activation=spec.enc_activation, rng=rng, params=params)
+    return LatentFlowModel(
+        spec,
+        Mlp(_dims(spec.d_x, spec.enc_hidden, spec.enc_depth, d), name="enc", prefix="f.", **enc),
+        Mlp((spec.d_y, d), name="lenc", prefix="g.", **enc),
+        Mlp((d, spec.d_y), name="ldec", prefix="d.", **enc),
+        _build_dynamics(spec, rng, params))
 
 
 def build_model(spec: ModelSpec, seed: int = 0) -> LatentFlowModel:
-    rng = np.random.default_rng(seed)
-    d = spec.resolved_latent_dim()
-    enc_dims = [spec.d_x] + [spec.enc_hidden] * (spec.enc_depth - 1) + [d]
-    data_encoder = Mlp(enc_dims, activation=spec.enc_activation, rng=rng, name="enc")
-    label_encoder = Mlp([spec.d_y, d], activation=spec.enc_activation, rng=rng, name="lenc")
-    label_decoder = Mlp([d, spec.d_y], activation=spec.enc_activation, rng=rng, name="ldec")
-    return LatentFlowModel(spec, data_encoder, label_encoder, label_decoder,
-                           _build_dynamics(spec, rng))
+    return _latent_model(spec, rng=np.random.default_rng(seed))
 
 
 def build_direct_fm(d_x: int, d_y: int, task: TaskKind, schedule: str = "linear",
@@ -220,7 +231,7 @@ def build_node_baseline(d_x: int, d_y: int, task: TaskKind, hidden: int = 64,
     rng = np.random.default_rng(seed)
     spec = ModelSpec(d_x, d_y, task, latent_dim=d_x, dyn_hidden=hidden, dyn_depth=depth)
     dynamics = _build_dynamics(spec, rng)
-    decoder = Mlp([d_x, d_y], activation="tanh", rng=rng, name="dec")
+    decoder = Mlp([d_x, d_y], activation="tanh", rng=rng, name="dec", prefix="d.")
     return LatentFlowModel(spec, ColumnMap(d_x, d_x), ColumnMap(d_y, d_x), decoder, dynamics)
 
 
@@ -244,25 +255,17 @@ def write_run_files(out_dir, writers: dict[str, Callable[[Path], None]]) -> None
             path.unlink(missing_ok=True)
 
 
-def save_model(path, model: LatentFlowModel) -> None:
-    from .nn import save_checkpoint
-
-    save_checkpoint(path, model.named_parameters())
-
-
-def load_model_params(path, model: LatentFlowModel) -> None:
-    from .nn import load_checkpoint
-
-    loaded = load_checkpoint(path)
-    for name, p in model.named_parameters():
-        if name not in loaded:
-            raise CheckpointError(f"{path}: missing parameter {name!r}")
-        arr = loaded[name]
-        if arr.shape != p.data.shape:
-            raise CheckpointError(
-                f"{path}: parameter {name!r} has shape {arr.shape}, expected {p.data.shape}"
-            )
-        p.data = arr
+def load_model_params(path, spec: ModelSpec) -> LatentFlowModel:
+    """The latent model of ``spec`` made of the arrays of the checkpoint at ``path``,
+    which must hold exactly its parameters; see `Mlp` for the order of checks."""
+    loaded = nn.load_checkpoint(path)
+    try:
+        model = _latent_model(spec, params=loaded)
+        if loaded:  # what the model did not take
+            raise CheckpointError(f"unexpected parameter {next(iter(loaded))!r}")
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    return model
 
 
 def mse(pred: np.ndarray, target: np.ndarray) -> float:

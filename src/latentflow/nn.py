@@ -3,11 +3,12 @@ schedule, checkpoints."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,6 +33,10 @@ class OptimizerError(RuntimeError):
     """Raised on invalid optimizer input (e.g. NaN gradients)."""
 
 
+class CheckpointError(ValueError):
+    """A checkpoint or run-manifest file that cannot be read; names the file."""
+
+
 class _Layer(NamedTuple):
     """x -> x @ weight.T + bias; in a time-conditioned MLP the last column of
     the [out, in] weight is the time weight (see `latentflow.tensor.linear`)."""
@@ -47,34 +52,48 @@ class Mlp:
     When ``time_conditioned`` is set, the time variable is an extra input of
     every layer, held in the last column of its weight, so each layer's input
     width includes one extra slot.
+    Layer i's tensors are named ``{name}.{i}.weight`` and ``.bias``, and
+    ``named_parameters`` puts ``prefix`` before them. Parameters are drawn from
+    ``rng``, or taken out of ``params``, a checkpoint's arrays by prefixed
+    name, each checked before the next width of ``dims`` (any iterable) is read.
     ``calls`` counts forward invocations (one per batched evaluation), which
     is how dynamics-function evaluations are accounted. A ``solve`` that
     splits its rows into blocks calls the field once per block, so ``calls``
     then goes up once per block for each evaluation its NFE counts.
     """
 
-    def __init__(self, dims: Sequence[int], activation: str = "tanh",
+    def __init__(self, dims: Iterable[int], activation: str = "tanh",
                  time_conditioned: bool = False, rng: np.random.Generator | None = None,
-                 name: str = "mlp"):
+                 name: str = "mlp", prefix: str = "", params: dict[str, np.ndarray] | None = None):
         if activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
-        if len(dims) < 2:
-            raise ValueError("dims must contain at least input and output sizes")
-        if rng is None:
+        if rng is None and params is None:
             rng = np.random.default_rng(0)
         extra = 1 if time_conditioned else 0
         self.layers = []
-        for i in range(len(dims) - 1):
-            n_in, n_out = dims[i] + extra, dims[i + 1]
-            # uniform Kaiming-style init scaled by 1/sqrt(fan_in)
-            bound = 1.0 / math.sqrt(n_in)
-            w = rng.uniform(-bound, bound, size=(n_out, n_in))
-            b = rng.uniform(-bound, bound, size=n_out)
-            self.layers.append(_Layer(Tensor(w, requires_grad=True, name=f"{name}.{i}.weight"),
-                                      Tensor(b, requires_grad=True, name=f"{name}.{i}.bias")))
-        self.d_in, self.d_out = dims[0], dims[-1]
+        for i, (n_in, n_out) in enumerate(itertools.pairwise(dims)):
+            bound = 1.0 / math.sqrt(n_in + extra)  # uniform init scaled by 1/sqrt(fan_in)
+            tensors = []
+            for kind, shape in (("weight", (n_out, n_in + extra)), ("bias", (n_out,))):
+                key = f"{prefix}{name}.{i}.{kind}"
+                if params is None:
+                    arr = rng.uniform(-bound, bound, size=shape)
+                elif key not in params:
+                    raise CheckpointError(f"missing parameter {key!r}")
+                elif params[key].shape != shape:
+                    raise CheckpointError(
+                        f"parameter {key!r} has shape {params[key].shape}, expected {shape}")
+                else:
+                    arr = params.pop(key)
+                tensors.append(Tensor(arr, requires_grad=True, name=f"{name}.{i}.{kind}"))
+            self.layers.append(_Layer(*tensors))
+        if not self.layers:
+            raise ValueError("dims must contain at least input and output sizes")
+        self.d_in = self.layers[0].weight.shape[1] - extra
+        self.d_out = self.layers[-1].weight.shape[0]
         self.activation = activation
         self.time_conditioned = time_conditioned
+        self.prefix = prefix
         self.calls = 0
 
     def forward(self, x, t=None) -> Tensor:
@@ -100,7 +119,7 @@ class Mlp:
         return [p for layer in self.layers for p in layer]
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return [(p.name or str(p.id), p) for p in self.parameters()]
+        return [(self.prefix + p.name, p) for p in self.parameters()]
 
 
 class ColumnMap:
@@ -213,32 +232,12 @@ def cosine_lr(step: int, total: int, base: float) -> float:
     return base * 0.5 * (1.0 + math.cos(math.pi * step / total))
 
 
-class CheckpointError(ValueError):
-    """A checkpoint or run-manifest file that cannot be read; names the file."""
-
-
 # Checkpoints are flat (name, shape, values) records. A parameter's values are
 # one hex string of its float64 bytes in big-endian order (format
 # f64be-hex-v1), so the 64-bit round trip is bit-exact and each parameter
-# decodes with one bytes.fromhex. Files of the earlier format hexfloat-v1,
-# one C99 hex float per value, still load.
+# decodes with one bytes.fromhex.
 
 _FORMAT = "f64be-hex-v1"
-
-
-def _decode_f64be_hex(values, shape) -> np.ndarray:
-    n = math.prod(shape)
-    if not isinstance(values, str) or len(values) != 16 * n:
-        raise ValueError(f"values are not {16 * n} hex digits for shape {shape}")
-    # whitespace that fromhex skips leaves too few bytes for the reshape
-    return np.frombuffer(bytes.fromhex(values), ">f8").astype(np.float64).reshape(shape)
-
-
-def _decode_hexfloat(values, shape) -> np.ndarray:
-    return np.array([float.fromhex(v) for v in values], dtype=np.float64).reshape(shape)
-
-
-_DECODERS = {_FORMAT: _decode_f64be_hex, "hexfloat-v1": _decode_hexfloat}
 
 
 def save_checkpoint(path, named_params: Sequence[tuple[str, Tensor]]) -> None:
@@ -263,9 +262,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         payload = json.loads(Path(path).read_text())
     except ValueError as exc:  # not UTF-8, or not JSON
         raise CheckpointError(f"{path}: not valid JSON ({exc})") from None
-    fmt = payload.get("format") if isinstance(payload, dict) else None
-    decode = _DECODERS.get(fmt) if isinstance(fmt, str) else None
-    if decode is None:
+    if not isinstance(payload, dict) or payload.get("format") != _FORMAT:
         raise CheckpointError(f"unsupported checkpoint format in {path}")
     params = payload.get("params")
     if not isinstance(params, list):
@@ -276,7 +273,12 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         if not isinstance(name, str):
             raise CheckpointError(f"{path}: parameter record {i} has no name")
         try:
-            out[name] = decode(rec["values"], rec["shape"])
+            values, shape = rec["values"], rec["shape"]
+            n = math.prod(shape)
+            if not isinstance(values, str) or len(values) != 16 * n:
+                raise ValueError(f"values are not {16 * n} hex digits for shape {shape}")
+            # whitespace that fromhex skips leaves too few bytes for the reshape
+            out[name] = np.frombuffer(bytes.fromhex(values), ">f8").astype(np.float64).reshape(shape)
             if not np.isfinite(out[name]).all():
                 raise ValueError("holds a non-finite value")
         except KeyError as exc:

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -43,3 +49,23 @@ def make_small_model(seed: int = 3, schedule: str = "linear") -> lf.LatentFlowMo
                         schedule=schedule, enc_hidden=8, enc_depth=2,
                         dyn_hidden=8, dyn_depth=2)
     return lf.build_model(spec, seed=seed)
+
+
+def run_cli(*args: str, module: str = "latentflow", cwd=None,
+            memory_limit: int = 1 << 30) -> subprocess.CompletedProcess:
+    """``python -m <module> *args`` in a child process, with its output.
+
+    The child's address space is capped at ``memory_limit`` bytes
+    (``RLIMIT_AS``, set in the child only), so a command that asks for too
+    much memory fails there with a MemoryError instead of taking the host's.
+    One BLAS thread keeps OpenBLAS's per-thread buffers inside the cap.
+    """
+    src = str(Path(lf.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (memory_limit, memory_limit))
+
+    return subprocess.run([sys.executable, "-m", module, *args], cwd=cwd, env=env,
+                          preexec_fn=cap_memory, capture_output=True, text=True, timeout=120)

@@ -6,12 +6,9 @@ import json
 import logging
 import math
 import operator
-import os
 import shutil
 import struct
-import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +19,9 @@ import latentflow.model
 from latentflow.cli import main, resolve_dataset
 from latentflow.config import ConfigError, RunConfig, load_config, parse_config_text
 from latentflow.data import DataError, apply_normalization
-from latentflow.nn import load_checkpoint
 from latentflow.solvers import SolverError, SolverSpec
+
+from conftest import run_cli
 
 TOY_TRAIN_CFG = """\
 # crossing toy task, full run
@@ -164,18 +162,11 @@ def test_validation_split_keeps_the_standardize_decision(tmp_path, standardize):
 
 @pytest.mark.parametrize("module", ["latentflow", "latentflow.cli"])
 def test_module_entry_points_run_the_cli(tmp_path, module):
-    src = str(Path(latentflow.cli.__file__).resolve().parents[1])
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-
-    def run(*args):
-        return subprocess.run([sys.executable, "-m", module, *args], cwd=tmp_path, env=env,
-                              capture_output=True, text=True, timeout=120)
-
-    helped = run("--help")
+    helped = run_cli("--help", module=module, cwd=tmp_path)
     assert helped.returncode == 0, helped.stderr
     assert "diagnose" in helped.stdout
-    missing = run("diagnose", "--checkpoint", str(tmp_path / "absent"))
+    missing = run_cli("diagnose", "--checkpoint", str(tmp_path / "absent"), module=module,
+                      cwd=tmp_path)
     assert missing.returncode == 2, missing.stderr
     assert "no manifest.json" in missing.stderr
 
@@ -289,16 +280,6 @@ def _truncate(path):
     path.write_text(path.read_text()[:200])
 
 
-def _as_hexfloat_v1_with(value):
-    def malform(path):
-        payload = {"format": "hexfloat-v1", "params": [
-            {"name": name, "shape": list(arr.shape), "values": [v.hex() for v in arr.reshape(-1).tolist()]}
-            for name, arr in load_checkpoint(path).items()]}
-        payload["params"][0]["values"][3] = value
-        path.write_text(json.dumps(payload))
-    return malform
-
-
 def _f64be_hex(value: float) -> str:
     """One value's 16 hex digits in the f64be-hex-v1 checkpoint format."""
     return struct.pack(">d", value).hex()
@@ -332,11 +313,11 @@ _MALFORMED = {
     "mis-shaped parameter": (
         "checkpoint.json",
         lambda path: _edit_json(path, lambda c: c["params"][0]["shape"].reverse()), _FIRST_PARAM),
-    "hexfloat-v1 value not a hex float": ("checkpoint.json", _as_hexfloat_v1_with("0x1.8p+zz"),
-                                          _FIRST_PARAM),
-    "hexfloat-v1 value infinite": ("checkpoint.json", _as_hexfloat_v1_with("-inf"), _FIRST_PARAM),
     "NaN parameter value": (
         "checkpoint.json", _edit_first_values(lambda v: v[:16] + _f64be_hex(math.nan) + v[32:]),
+        _FIRST_PARAM),
+    "-inf parameter value": (
+        "checkpoint.json", _edit_first_values(lambda v: v[:48] + _f64be_hex(-math.inf) + v[64:]),
         _FIRST_PARAM),
     "values not hex": ("checkpoint.json", _edit_first_values(lambda v: "zz" + v[2:]), _FIRST_PARAM),
     "values of the wrong length": ("checkpoint.json", _edit_first_values(lambda v: v[:-2]),
@@ -369,7 +350,7 @@ _MALFORMED = {
     "model_spec with a zero width": (
         "manifest.json", _edit_manifest("model_spec", "enc_hidden", 0), "enc_hidden"),
     "model_spec with an unknown activation": (
-        "manifest.json", _edit_manifest("model_spec", "dyn_activation", "bogus"), None),
+        "manifest.json", _edit_manifest("model_spec", "dyn_activation", "bogus"), "dyn_activation"),
     "model_spec with an unknown schedule": (
         "manifest.json", _edit_manifest("model_spec", "schedule", "bogus"), "schedule"),
     "normalization with a string x_std": (
@@ -437,6 +418,7 @@ def _json_paths(node, path=()):
 
 
 _OTHER_TYPES = [None, True, 0.5, "abc", [], {}]
+_SPEC_SIZES = ("d_x", "d_y", "latent_dim", "enc_hidden", "enc_depth", "dyn_hidden", "dyn_depth")
 
 
 def _mutate(data, payload: dict, how: str) -> None:
@@ -446,6 +428,12 @@ def _mutate(data, payload: dict, how: str) -> None:
         i = 16 * data.draw(st.integers(0, len(rec["values"]) // 16 - 1))
         bits = _f64be_hex(data.draw(st.sampled_from([math.nan, math.inf, -math.inf])))
         rec["values"] = rec["values"][:i] + bits + rec["values"][i + 16:]
+        return
+    if how == "out-of-domain":  # a model_spec width, depth or activation no model has
+        field = data.draw(st.sampled_from(_SPEC_SIZES + ("enc_activation", "dyn_activation")))
+        payload["model_spec"][field] = data.draw(
+            st.sampled_from([0, -1, 10**9, 2**62]) if field in _SPEC_SIZES
+            else st.text(max_size=8).filter(lambda s: s not in ("relu", "tanh")))
         return
     at = functools.partial(functools.reduce, operator.getitem)
     paths = [p for p in _json_paths(payload) if how != "resize" or isinstance(at(p, payload), list)]
@@ -467,14 +455,14 @@ def _mutate(data, payload: dict, how: str) -> None:
 @given(data=st.data())
 def test_mutated_manifest_exits_2_or_changes_nothing(mutable_run, capsys, caplog, data):
     # in the manifest or the checkpoint, drop a value, change its type, resize a
-    # list or put in a non-finite number, or set one parameter value's bits to
-    # a non-finite one: eval either rejects the run directory in one line or
+    # list or put in a non-finite number, set one parameter value's bits to a
+    # non-finite one, or give the model spec a width, depth or activation out
+    # of its domain: eval either rejects the run directory in one line or
     # prints exactly what it did
     run, originals, expected = mutable_run
     name = data.draw(st.sampled_from(sorted(originals)))
     kinds = ["drop", "retype", "resize", "non-finite"]
-    if name == "checkpoint.json":
-        kinds.append("bits")
+    kinds.append("bits" if name == "checkpoint.json" else "out-of-domain")
     payload = json.loads(originals[name])
     _mutate(data, payload, data.draw(st.sampled_from(kinds)))
     (run / name).write_text(json.dumps(payload))
@@ -493,6 +481,51 @@ def test_mutated_manifest_exits_2_or_changes_nothing(mutable_run, capsys, caplog
         errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
         assert code == 2 and out == ""
         assert len(errors) == 1 and len(errors[0].splitlines()) == 1
+
+
+@pytest.mark.parametrize("field, value, param", [
+    ("enc_hidden", 10**8, "f.enc.0.weight"), ("latent_dim", 10**8, "f.enc.1.weight"),
+    ("dyn_depth", 10**6, "h.dyn.2.weight"), ("dyn_depth", 10**9, "h.dyn.2.weight"),
+    ("dyn_depth", 2**62, "h.dyn.2.weight")])
+def test_huge_manifest_width_or_depth_exits_2_before_allocating(trained_run, tmp_path, field,
+                                                                value, param):
+    # the checkpoint's first array that the manifest's value does not fit is
+    # named before anything of that size is made; the child's memory is capped
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    _edit_manifest("model_spec", field, value)(run / "manifest.json")
+    done = run_cli("eval", "--checkpoint", str(run))
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == "" and len(done.stderr.splitlines()) == 1
+    assert str(run / "checkpoint.json") in done.stderr and repr(param) in done.stderr
+
+
+def test_checkpoint_with_a_layer_the_manifest_lacks_exits_2(tmp_path, caplog):
+    # with dyn_hidden equal to the latent width, every dynamics layer has one
+    # shape, so a manifest one layer shallower fits all but the last layer
+    cfg_path = tmp_path / "wide.cfg"
+    cfg_path.write_text("dataset = toy\nlatent_dim = 64\niterations = 2\nbatch_size = 4\n")
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--out", str(run)]) == 0
+    _edit_manifest("model_spec", "dyn_depth", 2)(run / "manifest.json")
+    with caplog.at_level(logging.ERROR, logger="latentflow"):
+        assert main(["eval", "--checkpoint", str(run)]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and str(run / "checkpoint.json") in errors[0]
+    assert repr("h.dyn.2.weight") in errors[0]
+
+
+def test_eval_draws_no_random_numbers(trained_run, capsys, monkeypatch):
+    # a loaded model is made of the checkpoint's arrays, with no throwaway init
+    assert main(["eval", "--checkpoint", str(trained_run)]) == 0
+    expected = capsys.readouterr().out
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a random generator was made")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    assert main(["eval", "--checkpoint", str(trained_run)]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_bad_solver_flag_does_not_blame_the_manifest(trained_run, caplog):
@@ -557,8 +590,8 @@ def test_eval_prints_the_metric_and_nfe_of_flow_of_embed(blocked_run, capsys, so
     # eval at any solver prints exactly the metric and NFE of
     # flow(embed(x), solver) on the run's normalized dataset
     manifest = json.loads((blocked_run / "manifest.json").read_text())
-    model = latentflow.model.build_model(latentflow.model.ModelSpec.from_dict(manifest["model_spec"]))
-    latentflow.model.load_model_params(blocked_run / "checkpoint.json", model)
+    model = latentflow.model.load_model_params(
+        blocked_run / "checkpoint.json", latentflow.model.ModelSpec.from_dict(manifest["model_spec"]))
     norm = manifest["normalization"]
     ds = apply_normalization(resolve_dataset(RunConfig(**manifest["config"])),
                              *(norm[k] for k in ("x_mean", "x_std", "y_mean", "y_std")))

@@ -19,9 +19,9 @@ from latentflow.model import (
     mse,
     node_baseline_train,
     output_metric,
-    save_model,
     write_run_files,
 )
+from latentflow.nn import save_checkpoint
 from latentflow.schedules import interpolate
 from latentflow.solvers import SolverSpec, _row_blocks
 from latentflow.tensor import no_grad
@@ -240,9 +240,8 @@ def test_baselines_reject_mismatched_dims(trainer):
 def test_model_checkpoint_round_trip(tmp_path, toy_latent, toy_ds):
     model, _ = toy_latent
     path = tmp_path / "ckpt.json"
-    save_model(path, model)
-    clone = lf.build_model(model.spec, seed=123)
-    load_model_params(path, clone)
+    save_checkpoint(path, model.named_parameters())
+    clone = load_model_params(path, model.spec)
     for (_, a), (_, b) in zip(model.named_parameters(), clone.named_parameters()):
         assert np.array_equal(a.data, b.data)
     pa, _ = model.predict_raw(toy_ds.x, EULER1)

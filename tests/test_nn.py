@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -238,18 +237,6 @@ def test_checkpoint_round_trip_keeps_every_bit(tmp_path_factory, values, rows):
     for p in params:
         assert loaded[p.name].shape == p.shape
         assert np.array_equal(loaded[p.name].view(np.uint64), p.data.view(np.uint64))
-
-
-def test_hexfloat_v1_checkpoint_still_loads_bit_equal(tmp_path):
-    flat = np.array([0.1, -2.5, 3e-300, 1.0 / 3.0, 123.456, *_SPECIAL_VALUES])
-    w = flat.reshape(3, 4)
-    path = tmp_path / "old.json"
-    path.write_text(json.dumps({"format": "hexfloat-v1", "params": [
-        {"name": "w", "shape": [3, 4], "values": [v.hex() for v in w.reshape(-1).tolist()]},
-    ]}))
-    loaded = load_checkpoint(path)["w"]
-    assert loaded.dtype == np.float64 and loaded.shape == (3, 4)
-    assert np.array_equal(loaded.view(np.uint64), w.view(np.uint64))
 
 
 def test_checkpoint_rejects_unknown_format(tmp_path):
