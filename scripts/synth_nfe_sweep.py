@@ -48,7 +48,7 @@ def main() -> int:
                            t_zero_prob=0.1, label_noise_std=0.1, seed=args.seed,
                            eval_interval=1000, patience=10, log_every=500)
         lf.train(model, train_ds, cfg, val_ds)
-        rows = nfe_sweep(model, val_ds, NFE_GRID)
+        rows = nfe_sweep(model, val_ds, model.embed(val_ds.x), NFE_GRID, {})
         path = out_dir / f"sweep_{kind}.csv"
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)

@@ -2,10 +2,13 @@
 and metric-over-NFE sweeps.
 
 Every solve goes through the model's one inference path, ``model.embed`` and
-``model.flow``. ``build_report`` embeds x once and flows it once at euler:1 and
-once at dopri5, shared by every diagnostic: the disagreement, the sweep's
-euler:1 and dopri5 rows and the post-flow 1-NN probe. The 1-NN search is exact:
-it picks the same reference as direct distances, the first of equally near ones.
+``model.flow``. ``build_report`` encodes x once (``model.embed``) and y once,
+flows z0 once at euler:1 and once at dopri5, and passes these arrays to each
+diagnostic: the disagreement, the cosine profile, the sweep's euler:1 and
+dopri5 rows and the 1-NN probes. The cosine profile thus starts from
+``embed``'s z0, which on OpenBLAS 0.3.31 has the whole-array bits when every
+layer of f has at least three output columns. The 1-NN search is exact: it
+picks the same reference as direct distances, the first of equally near ones.
 """
 
 from __future__ import annotations
@@ -41,37 +44,31 @@ _T_GRID = np.linspace(0.0, 1.0, 21)
 _NFE_LIST = (1, 2, 5, 10, 50, 100)
 
 
-def disagreement(model, ds: PairedDataset) -> float:
-    """Fraction of samples whose one-step prediction differs from the adaptive one.
+def disagreement(task, fast: np.ndarray, reference: np.ndarray) -> float:
+    """Fraction of samples whose one-step prediction ``fast`` differs from the
+    adaptive one, ``reference`` (both decoded outputs of the same z0).
 
     Classification compares argmax labels; regression counts a sample as
     disagreeing when the relative L2 gap against the adaptive prediction
     exceeds 1%. A proxy for trajectory straightness: a perfectly straight
     learned flow is integrated exactly by a single Euler step.
     """
-    if ds.n < 1:
-        raise ValueError("disagreement needs a nonempty dataset")
-    z0 = model.embed(ds.x)
-    return _disagreement(model, model.flow(z0, _FAST)[0], model.flow(z0, _REFERENCE)[0])
-
-
-def _disagreement(model, a: np.ndarray, b: np.ndarray) -> float:
-    if model.task.is_classification:
-        return float(np.mean(np.argmax(a, axis=1) != np.argmax(b, axis=1)))
-    gap = np.linalg.norm(a - b, axis=1)
-    ref = np.maximum(np.linalg.norm(b, axis=1), 1e-12)
+    if task.is_classification:
+        return float(np.mean(np.argmax(fast, axis=1) != np.argmax(reference, axis=1)))
+    gap = np.linalg.norm(fast - reference, axis=1)
+    ref = np.maximum(np.linalg.norm(reference, axis=1), 1e-12)
     return float(np.mean(gap / ref > _REL_GAP_TOL))
 
 
-def velocity_cosine_profile(model, ds: PairedDataset, t_grid) -> list[tuple[float, float]]:
+def velocity_cosine_profile(model, z0: np.ndarray, z1: np.ndarray,
+                            t_grid) -> list[tuple[float, float]]:
     """Mean cosine similarity between predicted and target velocity over time.
 
     At each t the states and targets come from the schedule applied to the
-    encoder outputs. A zero-norm vector on either side contributes cosine 0.
+    encoder outputs z0 = f(x) and z1 = g(y). A zero-norm vector on either side
+    contributes cosine 0.
     """
     with no_grad():
-        z0 = model.encode_data(ds.x).data
-        z1 = model.encode_label(ds.y).data
         out = []
         for t in np.asarray(t_grid, dtype=np.float64):
             t = float(t)
@@ -154,14 +151,11 @@ def knn_probe(ref_emb: np.ndarray, ref_labels: np.ndarray, query_emb: np.ndarray
     return correct / query_emb.shape[0]
 
 
-def nfe_sweep(model, ds: PairedDataset, nfe_list) -> list[dict]:
+def nfe_sweep(model, ds: PairedDataset, z0: np.ndarray, nfe_list, solved) -> list[dict]:
     """Evaluation metric per Euler step count, then a dopri5 entry reporting
-    its measured NFE."""
-    return _nfe_sweep(model, ds, model.embed(ds.x), nfe_list, {})
-
-
-def _nfe_sweep(model, ds: PairedDataset, z0: np.ndarray, nfe_list, solved: dict) -> list[dict]:
-    """``solved`` maps the specs already flowed from z0 to their ``model.flow`` results."""
+    its measured NFE, each from z0 = ``model.embed(ds.x)``. ``solved`` maps the
+    specs already flowed from z0 to their ``model.flow`` results, which are
+    used instead of solving again; ``{}`` when there are none."""
     rows = []
     for spec in [SolverSpec.euler(int(n)) for n in nfe_list] + [_REFERENCE]:
         out, res = solved[spec] if spec in solved else model.flow(z0, spec)
@@ -170,16 +164,17 @@ def _nfe_sweep(model, ds: PairedDataset, z0: np.ndarray, nfe_list, solved: dict)
     return rows
 
 
-def _knn_pair(model, ds: PairedDataset, z0: np.ndarray, z1hat: np.ndarray) -> tuple[float, float]:
+def _knn_pair(task, ds: PairedDataset, z0: np.ndarray, z1: np.ndarray,
+              z1hat: np.ndarray) -> tuple[float, float]:
     """1-NN probes in the raw-embedding and post-flow spaces.
 
     Classification: the dataset is split into alternating reference/query
-    halves and class labels are probed in z0 space and in dopri5-solved z1
+    halves and class labels are probed in z0 space and in dopri5-solved z1hat
     space. Regression: each sample's query embedding is matched against the
-    label embeddings g(y); accuracy is the fraction that retrieve their own
-    pair, before the flow (z0) and after it (z1hat).
+    label embeddings z1 = g(y); accuracy is the fraction that retrieve their
+    own pair, before the flow (z0) and after it (z1hat).
     """
-    if model.task.is_classification:
+    if task.is_classification:
         labels = np.argmax(ds.y, axis=1)
         ref = np.arange(ds.n) % 2 == 0
         qry = ~ref
@@ -188,27 +183,27 @@ def _knn_pair(model, ds: PairedDataset, z0: np.ndarray, z1hat: np.ndarray) -> tu
         acc0 = knn_probe(z0[ref], labels[ref], z0[qry], labels[qry])
         acc1 = knn_probe(z1hat[ref], labels[ref], z1hat[qry], labels[qry])
         return acc0, acc1
-    with no_grad():
-        anchors = model.encode_label(ds.y).data
     pair_ids = np.arange(ds.n)
-    acc0 = knn_probe(anchors, pair_ids, z0, pair_ids)
-    acc1 = knn_probe(anchors, pair_ids, z1hat, pair_ids)
+    acc0 = knn_probe(z1, pair_ids, z0, pair_ids)
+    acc1 = knn_probe(z1, pair_ids, z1hat, pair_ids)
     return acc0, acc1
 
 
 def build_report(model, ds: PairedDataset) -> dict:
     """Every diagnostic of ``model`` on ``ds``, as the report.json dict, sharing
-    one embedding of x and one euler:1 and one dopri5 flow."""
+    one encoding of x and of y and one euler:1 and one dopri5 flow."""
     z0 = model.embed(ds.x)
+    with no_grad():
+        z1 = model.encode_label(ds.y).data
     fast, reference = model.flow(z0, _FAST), model.flow(z0, _REFERENCE)
-    acc0, acc1 = _knn_pair(model, ds, z0, reference[1].z_final.data)
+    acc0, acc1 = _knn_pair(model.task, ds, z0, z1, reference[1].z_final.data)
     return {
-        "disagreement_fraction": _disagreement(model, fast[0], reference[0]),
+        "disagreement_fraction": disagreement(model.task, fast[0], reference[0]),
         "cosine_profile": [{"t": t, "mean_cosine": c}
-                           for t, c in velocity_cosine_profile(model, ds, _T_GRID)],
+                           for t, c in velocity_cosine_profile(model, z0, z1, _T_GRID)],
         "knn_accuracy_z0": acc0,
         "knn_accuracy_z1hat": acc1,
-        "nfe_sweep": _nfe_sweep(model, ds, z0, _NFE_LIST, {_FAST: fast, _REFERENCE: reference}),
+        "nfe_sweep": nfe_sweep(model, ds, z0, _NFE_LIST, {_FAST: fast, _REFERENCE: reference}),
     }
 
 

@@ -14,7 +14,7 @@ import pytest
 import latentflow as lf
 from latentflow.cli import main
 from latentflow.data import split, toy_crossing
-from latentflow.diagnostics import disagreement, velocity_cosine_profile
+from latentflow.diagnostics import build_report
 from latentflow.model import evaluate_metric, mse
 from latentflow.objectives import TimeSampler, flow_loss, label_ae_loss
 from latentflow.schedules import SCHEDULES, get_schedule, interpolate
@@ -222,8 +222,8 @@ def test_criterion_5_solver_disagreement_ordering():
     ds = toy_crossing()
     latent, _ = toy_latent()
     direct = toy_direct()
-    d_latent = disagreement(latent, ds)
-    d_direct = disagreement(direct, ds)
+    d_latent = build_report(latent, ds)["disagreement_fraction"]
+    d_direct = build_report(direct, ds)["disagreement_fraction"]
     _check("criterion 5 (disagreement ordering)",
            d_latent < 0.01 and d_direct > 0.10,
            f"latent {d_latent:.4f} < 1%, direct {d_direct:.2f} > 10%", started, 300.0)
@@ -274,11 +274,11 @@ def test_criterion_7_time_scaling_trap():
 def test_criterion_8_velocity_cosine_profiles():
     started = time.perf_counter()
     ds = toy_crossing()
-    grid = np.linspace(0.0, 1.0, 21)
     latent, _ = toy_latent()
     direct = toy_direct()
-    latent_min = min(c for _, c in velocity_cosine_profile(latent, ds, grid))
-    direct_min = min(c for _, c in velocity_cosine_profile(direct, ds, grid))
+    # build_report's profile grid is np.linspace(0.0, 1.0, 21)
+    latent_min = min(row["mean_cosine"] for row in build_report(latent, ds)["cosine_profile"])
+    direct_min = min(row["mean_cosine"] for row in build_report(direct, ds)["cosine_profile"])
     _check("criterion 8 (velocity cosine profiles)",
            latent_min > 0.99 and direct_min < 0.9,
            f"latent min {latent_min:.4f} > 0.99, direct min {direct_min:.3f} < 0.9",

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import json
 from unittest import mock
@@ -64,10 +65,20 @@ class ExactFieldStub(VelocityStub):
         return Tensor(self._factor * self._target)
 
 
+def _stub_disagreement(stub, ds):
+    z0 = stub.embed(ds.x)
+    return disagreement(stub.task, stub.flow(z0, SolverSpec.euler(1))[0],
+                        stub.flow(z0, SolverSpec.dopri5())[0])
+
+
+def _stub_profile(stub, ds, grid):
+    return velocity_cosine_profile(stub, stub.embed(ds.x), stub.encode_label(ds.y).data, grid)
+
+
 def test_disagreement_zero_for_constant_field():
     ds = lf.toy_crossing()
     model = ExactFieldStub(ds, 1.0)
-    assert disagreement(model, ds) == 0.0
+    assert _stub_disagreement(model, ds) == 0.0
 
 
 def test_disagreement_counts_regression_gaps():
@@ -79,42 +90,43 @@ def test_disagreement_counts_regression_gaps():
             # time-dependent field: a single Euler step misses the curvature
             return Tensor(np.full_like(arr, 4.0 * float(np.mean(t)) - 2.0))
 
-    frac = disagreement(DriftStub("drift"), ds)
+    frac = _stub_disagreement(DriftStub("drift"), ds)
     assert frac == 1.0
 
 
 def test_trained_latent_model_has_low_disagreement(toy_latent, toy_ds):
     model, _ = toy_latent
-    assert disagreement(model, toy_ds) < 0.01
+    assert build_report(model, toy_ds)["disagreement_fraction"] < 0.01
 
 
 def test_direct_fm_on_crossing_has_high_disagreement(toy_direct, toy_ds):
     model, _ = toy_direct
-    assert disagreement(model, toy_ds) > 0.10
+    assert build_report(model, toy_ds)["disagreement_fraction"] > 0.10
 
 
 def test_cosine_profile_exact_and_negated_fields():
     ds = lf.toy_crossing()
     grid = np.linspace(0.0, 1.0, 5)
-    exact = velocity_cosine_profile(ExactFieldStub(ds, 1.0), ds, grid)
-    negated = velocity_cosine_profile(ExactFieldStub(ds, -1.0), ds, grid)
+    exact = _stub_profile(ExactFieldStub(ds, 1.0), ds, grid)
+    negated = _stub_profile(ExactFieldStub(ds, -1.0), ds, grid)
     assert all(c == pytest.approx(1.0, abs=1e-12) for _, c in exact)
     assert all(c == pytest.approx(-1.0, abs=1e-12) for _, c in negated)
 
 
 def test_cosine_profile_zero_vector_convention():
     ds = lf.toy_crossing()
-    profile = velocity_cosine_profile(VelocityStub("zero"), ds, [0.0, 0.5, 1.0])
+    profile = _stub_profile(VelocityStub("zero"), ds, [0.0, 0.5, 1.0])
     assert all(c == 0.0 for _, c in profile)
     assert all(-1.0 <= c <= 1.0 and np.isfinite(c) for _, c in profile)
 
 
 def test_trained_profiles_separate_latent_from_direct(toy_latent, toy_direct, toy_ds):
-    grid = np.linspace(0.0, 1.0, 21)
     latent_model, _ = toy_latent
     direct_model, _ = toy_direct
-    latent_min = min(c for _, c in velocity_cosine_profile(latent_model, toy_ds, grid))
-    direct_min = min(c for _, c in velocity_cosine_profile(direct_model, toy_ds, grid))
+    latent_min = min(row["mean_cosine"]
+                     for row in build_report(latent_model, toy_ds)["cosine_profile"])
+    direct_min = min(row["mean_cosine"]
+                     for row in build_report(direct_model, toy_ds)["cosine_profile"])
     assert latent_min > 0.99
     assert direct_min < 0.9
 
@@ -211,7 +223,7 @@ def test_classification_knn_probe_uses_class_labels(toy_ds):
 
 def test_nfe_sweep_rows(toy_latent, toy_ds):
     model, _ = toy_latent
-    rows = nfe_sweep(model, toy_ds, [1, 4])
+    rows = nfe_sweep(model, toy_ds, model.embed(toy_ds.x), [1, 4], {})
     assert [r["nfe"] for r in rows[:2]] == [1, 4]
     adaptive = rows[-1]
     assert adaptive["solver"].startswith("dopri5")
@@ -223,12 +235,27 @@ def test_build_report_shares_one_solve_per_solver(toy_latent, toy_ds):
     # Every dynamics call is one of: the sweep's Euler steps (whose euler:1 row
     # is also the disagreement's fast side), one dopri5 solve shared by the
     # sweep, the disagreement and the z1hat probe, and the cosine profile's grid.
+    # f and g each run once, over the four toy rows: z0 and z1 serve the cosine
+    # profile, the probes and every solve.
     model, _ = toy_latent
-    calls = model.dynamics.calls
+    nets = (model.dynamics, model.data_encoder, model.label_encoder)
+    calls = [net.calls for net in nets]
     report = build_report(model, toy_ds)
     dopri5_nfe = report["nfe_sweep"][-1]["nfe"]
-    assert model.dynamics.calls - calls == (sum(diagnostics._NFE_LIST) + dopri5_nfe
-                                            + len(diagnostics._T_GRID))
+    assert [net.calls - c for net, c in zip(nets, calls)] == [
+        sum(diagnostics._NFE_LIST) + dopri5_nfe + len(diagnostics._T_GRID), 1, 1]
+
+
+def test_build_report_calls_each_public_diagnostic(toy_latent, toy_ds):
+    # build_report is the composition of the public diagnostics, looked up by
+    # their module names: one call each, and one 1-NN probe per space.
+    model, _ = toy_latent
+    names = ("disagreement", "velocity_cosine_profile", "nfe_sweep", "knn_probe")
+    with contextlib.ExitStack() as stack:
+        spies = [stack.enter_context(mock.patch.object(
+            diagnostics, name, wraps=getattr(diagnostics, name))) for name in names]
+        build_report(model, toy_ds)
+    assert [spy.call_count for spy in spies] == [1, 1, 1, 2]
 
 
 def test_report_serialization(tmp_path, toy_latent, toy_ds):
