@@ -67,8 +67,8 @@ class ExactFieldStub(VelocityStub):
 
 def _stub_disagreement(stub, ds):
     z0 = stub.embed(ds.x)
-    return disagreement(stub.task, stub.flow(z0, SolverSpec.euler(1))[0],
-                        stub.flow(z0, SolverSpec.dopri5())[0])
+    return disagreement(stub.task, stub.flow(z0, diagnostics._FAST)[0],
+                        stub.flow(z0, diagnostics._REFERENCE)[0])
 
 
 def _stub_profile(stub, ds, grid):
