@@ -1,8 +1,8 @@
 """Command-line entry point: train, eval, diagnose, compare, toy.
 
 stdout carries machine-readable JSON only (eval/diagnose/compare); all
-human-readable progress goes to stderr. Verbosity is controlled by the
-LATENTFLOW_LOG environment variable (debug|info|warning|quiet).
+human-readable progress goes to stderr, at the level LATENTFLOW_LOG names:
+debug|info|warning|quiet, in any letter case; any other value exits 2.
 """
 
 from __future__ import annotations
@@ -64,8 +64,12 @@ _LOG_LEVELS = {
 
 
 def _configure_logging() -> None:
-    level = _LOG_LEVELS.get(os.environ.get("LATENTFLOW_LOG", "info").lower(), logging.INFO)
-    logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(message)s")
+    value = os.environ.get("LATENTFLOW_LOG", "info")
+    level = _LOG_LEVELS.get(value.lower())
+    logging.basicConfig(stream=sys.stderr, level=level or logging.INFO,
+                        format="%(levelname)s %(message)s")
+    if level is None:
+        raise ConfigError(f"LATENTFLOW_LOG must be one of {'|'.join(_LOG_LEVELS)}, got {value!r}")
 
 
 def resolve_dataset(cfg: RunConfig) -> PairedDataset:
@@ -285,7 +289,7 @@ def run_comparison(cfg: RunConfig) -> dict:
          lambda m: direct_fm_train(m, train_ds, cfg)),
         (f"node_euler{cfg.node_steps}",
          build_node_baseline(train_ds.d_x, train_ds.d_y, train_ds.task, **baseline),
-         lambda m: node_baseline_train(m, train_ds, cfg.node_steps, node_cfg)),
+         lambda m: node_baseline_train(m, train_ds, node_cfg)),
     )
     rows = []
     for method, model, trainer in methods:
@@ -376,16 +380,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        _configure_logging()
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, DataError, nn.CheckpointError) as exc:
         log.error("%s", exc)
         return 2
-    except (TrainingAbort, SolverError, DimensionMismatch, NonFiniteResult) as exc:
-        log.error("%s", exc)
+    except (TrainingAbort, SolverError, DimensionMismatch, NonFiniteResult, MemoryError) as exc:
+        log.error("%s", str(exc) or "out of memory")
         return 1
 
 

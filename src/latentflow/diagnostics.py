@@ -60,9 +60,9 @@ def disagreement(task, fast: np.ndarray, reference: np.ndarray) -> float:
     return float(np.mean(gap / ref > _REL_GAP_TOL))
 
 
-def velocity_cosine_profile(model, z0: np.ndarray, z1: np.ndarray,
-                            t_grid) -> list[tuple[float, float]]:
-    """Mean cosine similarity between predicted and target velocity over time.
+def velocity_cosine_profile(model, z0: np.ndarray, z1: np.ndarray) -> list[tuple[float, float]]:
+    """Mean cosine similarity between predicted and target velocity at each t
+    of ``_T_GRID``, 21 points evenly spaced over [0, 1].
 
     At each t the states and targets come from the schedule applied to the
     encoder outputs z0 = f(x) and z1 = g(y). A zero-norm vector on either side
@@ -70,7 +70,7 @@ def velocity_cosine_profile(model, z0: np.ndarray, z1: np.ndarray,
     """
     with no_grad():
         out = []
-        for t in np.asarray(t_grid, dtype=np.float64):
+        for t in _T_GRID:
             t = float(t)
             z_t = interpolate(model.schedule, z0, z1, t)
             v_t = target_velocity(model.schedule, z0, z1, t)
@@ -151,13 +151,13 @@ def knn_probe(ref_emb: np.ndarray, ref_labels: np.ndarray, query_emb: np.ndarray
     return correct / query_emb.shape[0]
 
 
-def nfe_sweep(model, ds: PairedDataset, z0: np.ndarray, nfe_list, solved) -> list[dict]:
-    """Evaluation metric per Euler step count, then a dopri5 entry reporting
-    its measured NFE, each from z0 = ``model.embed(ds.x)``. ``solved`` maps the
-    specs already flowed from z0 to their ``model.flow`` results, which are
-    used instead of solving again; ``{}`` when there are none."""
+def nfe_sweep(model, ds: PairedDataset, z0: np.ndarray, solved) -> list[dict]:
+    """Evaluation metric on every row of ``ds`` per Euler step count of
+    ``_NFE_LIST``, then a dopri5 entry reporting its measured NFE, each from
+    z0 = ``model.embed(ds.x)``. ``solved`` maps the specs already flowed from z0
+    to their ``model.flow`` results, used instead of solving again, or is ``{}``."""
     rows = []
-    for spec in [SolverSpec.euler(int(n)) for n in nfe_list] + [_REFERENCE]:
+    for spec in [SolverSpec.euler(n) for n in _NFE_LIST] + [_REFERENCE]:
         out, res = solved[spec] if spec in solved else model.flow(z0, spec)
         metric = output_metric(model.task, ds, out)
         rows.append({"solver": spec.label(), "nfe": res.nfe, "metric": metric})
@@ -200,10 +200,10 @@ def build_report(model, ds: PairedDataset) -> dict:
     return {
         "disagreement_fraction": disagreement(model.task, fast[0], reference[0]),
         "cosine_profile": [{"t": t, "mean_cosine": c}
-                           for t, c in velocity_cosine_profile(model, z0, z1, _T_GRID)],
+                           for t, c in velocity_cosine_profile(model, z0, z1)],
         "knn_accuracy_z0": acc0,
         "knn_accuracy_z1hat": acc1,
-        "nfe_sweep": nfe_sweep(model, ds, z0, _NFE_LIST, {_FAST: fast, _REFERENCE: reference}),
+        "nfe_sweep": nfe_sweep(model, ds, z0, {_FAST: fast, _REFERENCE: reference}),
     }
 
 

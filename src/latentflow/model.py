@@ -15,8 +15,8 @@ column maps (`ColumnMap`) and their own loss; all three train through `fit`:
   endpoints (f and g pad to max(d_x, d_y), d keeps the first d_y columns), and
   fails whenever the data-space chords cross;
 - the unrolled NODE keeps its state in data space (f is the identity) and
-  backpropagates a supervised loss through an n_steps Euler solve, at n_steps
-  dynamics evaluations per step.
+  backpropagates a supervised loss through a ``node_steps`` Euler solve, at
+  ``node_steps`` dynamics evaluations per step.
 
 `LatentFlowModel.flow` is the one inference path: `eval`, `train`'s
 validation and final metrics, `compare` and `diagnose` all solve through it.
@@ -82,8 +82,6 @@ class ModelSpec:
     enc_depth: int = 2
     dyn_hidden: int = 64
     dyn_depth: int = 3
-    enc_activation: str = "relu"
-    dyn_activation: str = "tanh"
 
     def __post_init__(self):
         for name in ("d_x", "d_y", "enc_hidden", "enc_depth", "dyn_hidden", "dyn_depth"):
@@ -91,8 +89,6 @@ class ModelSpec:
         if self.latent_dim is not None:
             check_value("latent_dim", self.latent_dim, "int", 1)
         check_choice("schedule", self.schedule, SCHEDULES)
-        check_choice("enc_activation", self.enc_activation, nn._ACTIVATIONS)
-        check_choice("dyn_activation", self.dyn_activation, nn._ACTIVATIONS)
 
     def resolved_latent_dim(self) -> int:
         if self.latent_dim is not None:
@@ -108,6 +104,9 @@ class ModelSpec:
     def from_dict(cls, d: dict) -> "ModelSpec":
         d = dict(d)
         t = d.pop("task")
+        # older manifests record the activations, which were always these
+        for name, value in (("enc_activation", "relu"), ("dyn_activation", "tanh")):
+            check_choice(name, d.pop(name, value), (value,))
         return cls(task=TaskKind(t["kind"], t.get("num_classes")), **d)
 
 
@@ -190,7 +189,7 @@ def _dims(d_in: int, hidden: int, depth: int, d_out: int) -> Iterable[int]:
 def _build_dynamics(spec: ModelSpec, rng: np.random.Generator | None,
                     params: dict[str, np.ndarray] | None = None) -> Mlp:
     d = spec.resolved_latent_dim()
-    return Mlp(_dims(d, spec.dyn_hidden, spec.dyn_depth, d), activation=spec.dyn_activation,
+    return Mlp(_dims(d, spec.dyn_hidden, spec.dyn_depth, d), activation="tanh",
                time_conditioned=True, rng=rng, name="dyn", prefix="h.", params=params)
 
 
@@ -198,7 +197,7 @@ def _latent_model(spec: ModelSpec, rng: np.random.Generator | None = None,
                   params: dict[str, np.ndarray] | None = None) -> LatentFlowModel:
     """The networks of ``spec``, drawn from ``rng`` or taken out of ``params``."""
     d = spec.resolved_latent_dim()
-    enc = dict(activation=spec.enc_activation, rng=rng, params=params)
+    enc = dict(activation="relu", rng=rng, params=params)
     return LatentFlowModel(
         spec,
         Mlp(_dims(spec.d_x, spec.enc_hidden, spec.enc_depth, d), name="enc", prefix="f.", **enc),
@@ -428,19 +427,14 @@ def direct_fm_train(model: LatentFlowModel, train_ds: PairedDataset,
     return fit(model, loss_fn, train_ds, cfg)
 
 
-def node_baseline_train(node: LatentFlowModel, train_ds: PairedDataset, n_steps: int,
-                        cfg: RunConfig, val_ds: PairedDataset | None = None) -> TrainLog:
+def node_baseline_train(node: LatentFlowModel, train_ds: PairedDataset,
+                        cfg: RunConfig) -> TrainLog:
     """Discretize-then-optimize supervised training of the unrolled baseline
-    through ``n_steps`` Euler steps.
-
-    Validation, if any, integrates with the solver the loss unrolls, not
-    ``cfg.solver``.
-    """
-    solver = SolverSpec.euler(n_steps)
+    through ``cfg.node_steps`` Euler steps."""
+    solver = SolverSpec.euler(cfg.node_steps)
 
     def loss_fn(m, x, y, sampler, rng):
         z1, _ = solve_with_grad(m.velocity, m.encode_data(x), 0.0, 1.0, solver)
         return _single_term(mean_all(sq_diff_rowsum(m.decode_label(z1), Tensor(y))))
 
-    cfg = dataclasses.replace(cfg, solver=solver.label())
-    return fit(node, loss_fn, train_ds, cfg, val_ds)
+    return fit(node, loss_fn, train_ds, cfg)

@@ -64,8 +64,9 @@ def toy_node():
     if "node" not in _cache:
         ds = toy_crossing()
         node = lf.build_node_baseline(2, 2, ds.task, hidden=64, depth=3, seed=0)
-        cfg = lf.RunConfig(iterations=3000, batch_size=4, lr=3e-3, seed=0, log_every=100)
-        log = lf.node_baseline_train(node, ds, 8, cfg)
+        cfg = lf.RunConfig(iterations=3000, batch_size=4, lr=3e-3, seed=0, log_every=100,
+                           node_steps=8)
+        log = lf.node_baseline_train(node, ds, cfg)
         _cache["node"] = (node, log)
     return _cache["node"]
 

@@ -191,6 +191,39 @@ def test_failed_train_leaves_run_directory_as_it_was(tmp_path, monkeypatch):
     assert {p.name: p.read_bytes() for p in existing.iterdir()} == before
 
 
+@pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize("line", ["enc_hidden = 100000000", "dyn_depth = 1000000000"])
+def test_out_of_memory_exits_1_in_one_line_writing_nothing(tmp_path, command, line):
+    # the child's address space is capped at 1 GiB, which neither model fits
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(f"dataset = toy\niterations = 2\nbatch_size = 4\n{line}\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    done = run_cli(command, "--config", str(cfg_path), "--out", str(out))
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stderr and len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("ERROR Unable to allocate") and done.stdout == ""
+    assert list(out.iterdir()) == []
+
+
+def test_unknown_log_level_exits_2_naming_the_variable(monkeypatch):
+    monkeypatch.setenv("LATENTFLOW_LOG", "error")
+    done = run_cli("toy")
+    assert done.returncode == 2 and done.stdout == ""
+    (line,) = done.stderr.splitlines()
+    assert "LATENTFLOW_LOG" in line and "debug|info|warning|quiet" in line and "'error'" in line
+
+
+@pytest.mark.parametrize("value, logs_info", [("INFO", True), ("Warning", False)])
+def test_log_level_is_read_in_any_letter_case(tmp_path, monkeypatch, value, logs_info):
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text("dataset = toy\niterations = 2\nbatch_size = 4\n")
+    monkeypatch.setenv("LATENTFLOW_LOG", value)
+    done = run_cli("train", "--config", str(cfg_path), "--out", str(tmp_path / "run"))
+    assert done.returncode == 0, done.stderr
+    assert ("INFO training finished" in done.stderr) == logs_info
+
+
 def test_toy_command_prints_csv(capsys):
     assert main(["toy"]) == 0
     out = capsys.readouterr().out
@@ -376,6 +409,18 @@ def test_malformed_run_directory_exits_2_naming_the_file(trained_run, tmp_path, 
         assert (repr(param) if name == "checkpoint.json" else param) in errors[0]
 
 
+def test_manifest_recording_the_fixed_activations_evals_the_same(trained_run, tmp_path, capsys):
+    # manifests written while the activations were settings record relu and tanh
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    assert main(["eval", "--checkpoint", str(run)]) == 0
+    expected = capsys.readouterr().out
+    _edit_json(run / "manifest.json", lambda m: m["model_spec"].update(
+        enc_activation="relu", dyn_activation="tanh"))
+    assert main(["eval", "--checkpoint", str(run)]) == 0
+    assert capsys.readouterr().out == expected
+
+
 @pytest.mark.parametrize("command", [
     ["eval", "--solver", "euler:1"], ["eval", "--solver", "dopri5"], ["diagnose"]])
 def test_non_finite_result_exits_1_and_writes_nothing(trained_run, tmp_path, capsys, caplog, command):
@@ -429,7 +474,8 @@ def _mutate(data, payload: dict, how: str) -> None:
         bits = _f64be_hex(data.draw(st.sampled_from([math.nan, math.inf, -math.inf])))
         rec["values"] = rec["values"][:i] + bits + rec["values"][i + 16:]
         return
-    if how == "out-of-domain":  # a model_spec width, depth or activation no model has
+    if how == "out-of-domain":  # a model_spec width or depth no model has, or an
+        # activation key of an older manifest with a value no model had
         field = data.draw(st.sampled_from(_SPEC_SIZES + ("enc_activation", "dyn_activation")))
         payload["model_spec"][field] = data.draw(
             st.sampled_from([0, -1, 10**9, 2**62]) if field in _SPEC_SIZES
@@ -437,7 +483,10 @@ def _mutate(data, payload: dict, how: str) -> None:
         return
     at = functools.partial(functools.reduce, operator.getitem)
     paths = [p for p in _json_paths(payload) if how != "resize" or isinstance(at(p, payload), list)]
-    path = data.draw(st.sampled_from(paths))
+    # a top-level key first, then a path under it, so a checkpoint's format is
+    # drawn as often as its params, whatever their size
+    top = data.draw(st.sampled_from(sorted({p[0] for p in paths})))
+    path = data.draw(st.sampled_from([p for p in paths if p[0] == top]))
     parent, key = at(path[:-1], payload), path[-1]
     if how == "drop":
         del parent[key]
@@ -456,8 +505,8 @@ def _mutate(data, payload: dict, how: str) -> None:
 def test_mutated_manifest_exits_2_or_changes_nothing(mutable_run, capsys, caplog, data):
     # in the manifest or the checkpoint, drop a value, change its type, resize a
     # list or put in a non-finite number, set one parameter value's bits to a
-    # non-finite one, or give the model spec a width, depth or activation out
-    # of its domain: eval either rejects the run directory in one line or
+    # non-finite one, or give the model spec a width, depth or legacy activation
+    # out of its domain: eval either rejects the run directory in one line or
     # prints exactly what it did
     run, originals, expected = mutable_run
     name = data.draw(st.sampled_from(sorted(originals)))

@@ -71,8 +71,8 @@ def _stub_disagreement(stub, ds):
                         stub.flow(z0, diagnostics._REFERENCE)[0])
 
 
-def _stub_profile(stub, ds, grid):
-    return velocity_cosine_profile(stub, stub.embed(ds.x), stub.encode_label(ds.y).data, grid)
+def _stub_profile(stub, ds):
+    return velocity_cosine_profile(stub, stub.embed(ds.x), stub.encode_label(ds.y).data)
 
 
 def test_disagreement_zero_for_constant_field():
@@ -106,16 +106,16 @@ def test_direct_fm_on_crossing_has_high_disagreement(toy_direct, toy_ds):
 
 def test_cosine_profile_exact_and_negated_fields():
     ds = lf.toy_crossing()
-    grid = np.linspace(0.0, 1.0, 5)
-    exact = _stub_profile(ExactFieldStub(ds, 1.0), ds, grid)
-    negated = _stub_profile(ExactFieldStub(ds, -1.0), ds, grid)
+    exact = _stub_profile(ExactFieldStub(ds, 1.0), ds)
+    negated = _stub_profile(ExactFieldStub(ds, -1.0), ds)
+    assert [t for t, _ in exact] == list(np.linspace(0.0, 1.0, 21))
     assert all(c == pytest.approx(1.0, abs=1e-12) for _, c in exact)
     assert all(c == pytest.approx(-1.0, abs=1e-12) for _, c in negated)
 
 
 def test_cosine_profile_zero_vector_convention():
     ds = lf.toy_crossing()
-    profile = _stub_profile(VelocityStub("zero"), ds, [0.0, 0.5, 1.0])
+    profile = _stub_profile(VelocityStub("zero"), ds)
     assert all(c == 0.0 for _, c in profile)
     assert all(-1.0 <= c <= 1.0 and np.isfinite(c) for _, c in profile)
 
@@ -223,8 +223,8 @@ def test_classification_knn_probe_uses_class_labels(toy_ds):
 
 def test_nfe_sweep_rows(toy_latent, toy_ds):
     model, _ = toy_latent
-    rows = nfe_sweep(model, toy_ds, model.embed(toy_ds.x), [1, 4], {})
-    assert [r["nfe"] for r in rows[:2]] == [1, 4]
+    rows = nfe_sweep(model, toy_ds, model.embed(toy_ds.x), {})
+    assert [r["nfe"] for r in rows[:-1]] == [1, 2, 5, 10, 50, 100]
     adaptive = rows[-1]
     assert adaptive["solver"].startswith("dopri5")
     assert adaptive["nfe"] >= 7  # one accepted first-same-as-last step minimum

@@ -131,20 +131,6 @@ def test_train_aborts_on_nonfinite_loss():
         lf.train(model, lf.toy_crossing(), lf.RunConfig(iterations=5))
 
 
-def test_early_stopping_restores_best_checkpoint():
-    ds = lf.synth_regression(80, 2, seed=2)
-    train_ds, val_ds = lf.split(ds, 0.6, seed=0)
-    spec = lf.ModelSpec(d_x=2, d_y=1, task=ds.task, enc_hidden=16, dyn_hidden=16,
-                        dyn_depth=2)
-    model = lf.build_model(spec, seed=0)
-    cfg = lf.RunConfig(iterations=400, batch_size=32, lr=5e-3, seed=0,
-                       eval_interval=50, patience=1, log_every=50)
-    log = lf.train(model, train_ds, cfg, val_ds)
-    restored_metric, _ = evaluate_metric(model, val_ds, SolverSpec.parse(cfg.solver))
-    assert log.best_val is not None
-    assert restored_metric == pytest.approx(log.best_val, rel=1e-9)
-
-
 def test_node_single_step_solves_linearly_separable_classification():
     rng = np.random.default_rng(0)
     n = 16
@@ -156,8 +142,8 @@ def test_node_single_step_solves_linearly_separable_classification():
     ds = PairedDataset(x, y, TaskKind.classification(2))
 
     node = build_node_baseline(2, 2, ds.task, hidden=32, depth=2, seed=0)
-    log = node_baseline_train(node, ds, 1, lf.RunConfig(
-        iterations=500, batch_size=16, lr=1e-2, seed=0, log_every=100))
+    log = node_baseline_train(node, ds, lf.RunConfig(
+        iterations=500, batch_size=16, lr=1e-2, seed=0, log_every=100, node_steps=1))
     out, _ = node.predict_raw(ds.x, EULER1)
     assert accuracy(np.argmax(out, axis=1), ds.y) == 1.0
     assert all(e["train_nfe"] == 1 for e in log.entries)
@@ -166,8 +152,8 @@ def test_node_single_step_solves_linearly_separable_classification():
 def test_node_training_nfe_matches_step_count():
     ds = lf.toy_crossing()
     node = build_node_baseline(2, 2, ds.task, hidden=8, depth=2, seed=0)
-    log = node_baseline_train(node, ds, 5, lf.RunConfig(
-        iterations=6, batch_size=4, lr=1e-3, seed=0))
+    log = node_baseline_train(node, ds, lf.RunConfig(
+        iterations=6, batch_size=4, lr=1e-3, seed=0, node_steps=5))
     assert log.final_train_nfe_per_step == 5
     assert all(e["train_nfe"] == 5 for e in log.entries)
 
@@ -196,15 +182,16 @@ def test_direct_fm_zero_pads_mismatched_dims():
     assert len(log.entries) == 3
 
 
-def test_node_early_stopping_restores_best_checkpoint():
+def test_early_stopping_restores_best_checkpoint():
     ds = lf.synth_regression(60, 2, seed=2)
     train_ds, val_ds = lf.split(ds, 0.6, seed=0)
-    node = build_node_baseline(2, 1, ds.task, hidden=8, depth=2, seed=0)
+    spec = lf.ModelSpec(d_x=2, d_y=1, task=ds.task, enc_hidden=8, dyn_hidden=8, dyn_depth=2)
+    model = lf.build_model(spec, seed=0)
     cfg = lf.RunConfig(iterations=200, batch_size=16, lr=3e-2, seed=0,
                        eval_interval=2, patience=1)
-    log = node_baseline_train(node, train_ds, 2, cfg, val_ds=val_ds)
-    # validation integrates with the euler:2 solve the loss unrolls
-    restored_metric, _ = evaluate_metric(node, val_ds, SolverSpec.euler(2))
+    log = lf.train(model, train_ds, cfg, val_ds)
+    # validation solves with cfg.solver; training stops at step 21
+    restored_metric, _ = evaluate_metric(model, val_ds, SolverSpec.parse(cfg.solver))
     assert log.stopped_early and log.entries[-1]["step"] < cfg.iterations - 1
     assert restored_metric == log.best_val
 
@@ -234,7 +221,7 @@ def test_baselines_reject_mismatched_dims(trainer):
         if trainer == "direct_fm":
             direct_fm_train(build_direct_fm(2, 2, bad.task, hidden=4, depth=2), bad, cfg)
         else:
-            node_baseline_train(build_node_baseline(2, 2, bad.task, hidden=4, depth=2), bad, 2, cfg)
+            node_baseline_train(build_node_baseline(2, 2, bad.task, hidden=4, depth=2), bad, cfg)
 
 
 def test_model_checkpoint_round_trip(tmp_path, toy_latent, toy_ds):

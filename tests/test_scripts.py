@@ -2,9 +2,12 @@
 
 import json
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from latentflow.cli import main
 
@@ -12,22 +15,34 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 
 
-def _run(script: str, *args: str) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, str(SCRIPTS / script), *args],
-                          capture_output=True, text=True, timeout=300)
+def _header_commands(text: str) -> list[list[str]]:
+    """The ``latentflow ...`` command lines of a config's header comment."""
+    return [shlex.split(m) for m in re.findall(r"(?m)^#\s+latentflow (.+)$", text)]
 
 
-def test_toy_compare_script(tmp_path):
-    # the committed compare config, at 3 training steps
-    text, n = re.subn(r"(?m)^iterations = \d+$", "iterations = 3",
-                      (SCRIPTS / "toy_compare.cfg").read_text())
+@pytest.mark.parametrize("cfg_path", sorted(SCRIPTS.glob("*.cfg")), ids=lambda p: p.name)
+def test_committed_config_runs_as_its_header_says(tmp_path, cfg_path):
+    # each committed config, at 3 training steps, through the commands its
+    # header names, with its paths under runs/ moved into tmp_path
+    text, n = re.subn(r"(?m)^iterations = \d+$", "iterations = 3", cfg_path.read_text())
     assert n == 1
-    cfg = tmp_path / "toy_compare.cfg"
+    cfg = tmp_path / cfg_path.name
     cfg.write_text(text)
-    assert main(["compare", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    table = json.loads((tmp_path / "comparison.json").read_text())
-    assert [row["method"] for row in table["rows"]] == ["latent_fm", "direct_fm", "node_euler8"]
-    assert [row["train_nfe_per_step"] for row in table["rows"]] == [1.0, 1.0, 8.0]
+    commands = _header_commands(text)
+    assert commands
+    for args in commands:
+        args = [str(cfg) if a == f"scripts/{cfg_path.name}"
+                else str(tmp_path / a) if a.startswith("runs/") else a for a in args]
+        assert main(args) == 0, args
+    run = tmp_path / "runs" / cfg_path.stem
+    if commands[-1][0] == "compare":
+        table = json.loads((run / "comparison.json").read_text())
+        assert [row["method"] for row in table["rows"]] == ["latent_fm", "direct_fm", "node_euler8"]
+        assert [row["train_nfe_per_step"] for row in table["rows"]] == [1.0, 1.0, 8.0]
+    else:
+        assert [args[0] for args in commands] == ["train", "diagnose"]
+        lines = (run / "nfe_sweep.csv").read_text().splitlines()
+        assert lines[0] == "nfe,metric" and len(lines) == 1 + 7  # six Euler step counts and dopri5
 
 
 def test_readme_library_sketch():
@@ -40,15 +55,6 @@ def test_readme_library_sketch():
     exec(compile(code, "README.md", "exec"), namespace)
     assert namespace["res"].nfe == 1
     assert namespace["last"]["step"] == 4
-
-
-def test_synth_nfe_sweep_script(tmp_path):
-    proc = _run("synth_nfe_sweep.py", "--out", str(tmp_path), "--iterations", "3", "--n", "32")
-    assert proc.returncode == 0, proc.stderr
-    for kind in ("linear", "convex", "concave"):
-        lines = (tmp_path / f"sweep_{kind}.csv").read_text().splitlines()
-        assert lines[0] == "solver,nfe,rmse"
-        assert len(lines) == 1 + 9  # eight Euler step counts and dopri5
 
 
 def test_benchmark_selftest():
