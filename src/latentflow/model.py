@@ -9,7 +9,9 @@ informative. Inference encodes x, integrates the dynamics from t=0 to t=1,
 and decodes.
 
 The two baselines are the same model with some parts fixed to parameter-free
-column maps (`ColumnMap`) and their own loss; all three train through `fit`:
+column maps (`ColumnMap`) and their own loss. `ModelSpec.method` names which of
+the three a model is; `build_model` and `load_model_params` make each from its
+spec, and all three train through `fit`:
 
 - direct flow matching regresses the velocity between zero-padded data-space
   endpoints (f and g pad to max(d_x, d_y), d keeps the first d_y columns), and
@@ -40,7 +42,7 @@ from .nn import AdamState, CheckpointError, ColumnMap, Mlp, adam_step
 from .objectives import LossBreakdown, TimeSampler, flow_loss, total_loss
 from .schedules import SCHEDULES, Schedule, get_schedule
 from .solvers import SolveResult, SolverSpec, _row_blocks, solve, solve_with_grad
-from .tensor import Tensor, backward, mean_all, no_grad, sq_diff_rowsum
+from .tensor import Tensor, backward, mean_all, no_grad, relu, sq_diff_rowsum, tanh
 
 __all__ = [
     "ModelSpec",
@@ -67,10 +69,12 @@ __all__ = [
 class ModelSpec:
     """Architecture description; serializable into the run manifest.
 
-    ``latent_dim=None`` resolves to 2 * max(d_x, d_y) + 2, which keeps the
-    latent strictly wider than both observation spaces (the regime where
-    non-crossing embeddings are guaranteed to exist). Label encoder and
-    decoder are single linear layers.
+    ``method`` is "latent_fm" (the default, also of manifests without the key),
+    "direct_fm" or "node". For latent FM, ``latent_dim=None`` resolves to
+    2 * max(d_x, d_y) + 2, which keeps the latent strictly wider than both
+    observation spaces (the regime where non-crossing embeddings are guaranteed
+    to exist); label encoder and decoder are single linear layers. The baselines
+    use only the ``dyn_*`` sizes, at width max(d_x, d_y) (direct FM) or d_x (NODE).
     """
 
     d_x: int
@@ -82,6 +86,7 @@ class ModelSpec:
     enc_depth: int = 2
     dyn_hidden: int = 64
     dyn_depth: int = 3
+    method: str = "latent_fm"
 
     def __post_init__(self):
         for name in ("d_x", "d_y", "enc_hidden", "enc_depth", "dyn_hidden", "dyn_depth"):
@@ -89,11 +94,14 @@ class ModelSpec:
         if self.latent_dim is not None:
             check_value("latent_dim", self.latent_dim, "int", 1)
         check_choice("schedule", self.schedule, SCHEDULES)
+        check_choice("method", self.method, ("latent_fm", "direct_fm", "node"))
 
     def resolved_latent_dim(self) -> int:
-        if self.latent_dim is not None:
-            return self.latent_dim
-        return 2 * max(self.d_x, self.d_y) + 2
+        if self.method == "direct_fm":
+            return max(self.d_x, self.d_y)
+        if self.method == "node":
+            return self.d_x
+        return self.latent_dim or 2 * max(self.d_x, self.d_y) + 2
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -186,39 +194,38 @@ def _dims(d_in: int, hidden: int, depth: int, d_out: int) -> Iterable[int]:
     return itertools.chain((d_in,), itertools.repeat(hidden, depth - 1), (d_out,))
 
 
-def _build_dynamics(spec: ModelSpec, rng: np.random.Generator | None,
-                    params: dict[str, np.ndarray] | None = None) -> Mlp:
+def _networks(spec: ModelSpec, rng: np.random.Generator | None = None,
+              params: dict[str, np.ndarray] | None = None) -> LatentFlowModel:
+    """The model of ``spec``, its networks drawn from ``rng`` or taken out of
+    ``params``. Latent FM draws f, g, d and then h; direct FM only h; the NODE
+    h and then its decoder."""
     d = spec.resolved_latent_dim()
-    return Mlp(_dims(d, spec.dyn_hidden, spec.dyn_depth, d), activation="tanh",
-               time_conditioned=True, rng=rng, name="dyn", prefix="h.", params=params)
-
-
-def _latent_model(spec: ModelSpec, rng: np.random.Generator | None = None,
-                  params: dict[str, np.ndarray] | None = None) -> LatentFlowModel:
-    """The networks of ``spec``, drawn from ``rng`` or taken out of ``params``."""
-    d = spec.resolved_latent_dim()
-    enc = dict(activation="relu", rng=rng, params=params)
-    return LatentFlowModel(
-        spec,
-        Mlp(_dims(spec.d_x, spec.enc_hidden, spec.enc_depth, d), name="enc", prefix="f.", **enc),
-        Mlp((spec.d_y, d), name="lenc", prefix="g.", **enc),
-        Mlp((d, spec.d_y), name="ldec", prefix="d.", **enc),
-        _build_dynamics(spec, rng, params))
+    net = dict(rng=rng, params=params)
+    if spec.method == "latent_fm":
+        f = Mlp(_dims(spec.d_x, spec.enc_hidden, spec.enc_depth, d), relu, name="enc",
+                prefix="f.", **net)
+        g = Mlp((spec.d_y, d), relu, name="lenc", prefix="g.", **net)
+        dec = Mlp((d, spec.d_y), relu, name="ldec", prefix="d.", **net)
+    else:
+        f, g = ColumnMap(spec.d_x, d), ColumnMap(spec.d_y, d)
+    h = Mlp(_dims(d, spec.dyn_hidden, spec.dyn_depth, d), tanh, time_conditioned=True,
+            name="dyn", prefix="h.", **net)
+    if spec.method == "direct_fm":
+        dec = ColumnMap(d, spec.d_y)
+    elif spec.method == "node":
+        dec = Mlp((d, spec.d_y), tanh, name="dec", prefix="d.", **net)
+    return LatentFlowModel(spec, f, g, dec, h)
 
 
 def build_model(spec: ModelSpec, seed: int = 0) -> LatentFlowModel:
-    return _latent_model(spec, rng=np.random.default_rng(seed))
+    return _networks(spec, rng=np.random.default_rng(seed))
 
 
 def build_direct_fm(d_x: int, d_y: int, task: TaskKind, schedule: str = "linear",
                     hidden: int = 64, depth: int = 3, seed: int = 0) -> LatentFlowModel:
     """Direct flow matching: only h is learned, between zero-padded x and y."""
-    d = max(d_x, d_y)
-    spec = ModelSpec(d_x, d_y, task, schedule=schedule, latent_dim=d,
-                     dyn_hidden=hidden, dyn_depth=depth)
-    dynamics = _build_dynamics(spec, np.random.default_rng(seed))
-    return LatentFlowModel(spec, ColumnMap(d_x, d), ColumnMap(d_y, d), ColumnMap(d, d_y),
-                           dynamics)
+    return build_model(ModelSpec(d_x, d_y, task, schedule=schedule, dyn_hidden=hidden,
+                                 dyn_depth=depth, method="direct_fm"), seed)
 
 
 def build_node_baseline(d_x: int, d_y: int, task: TaskKind, hidden: int = 64,
@@ -227,11 +234,8 @@ def build_node_baseline(d_x: int, d_y: int, task: TaskKind, hidden: int = 64,
 
     g maps y to d_x columns only so the model is complete; training never uses it.
     """
-    rng = np.random.default_rng(seed)
-    spec = ModelSpec(d_x, d_y, task, latent_dim=d_x, dyn_hidden=hidden, dyn_depth=depth)
-    dynamics = _build_dynamics(spec, rng)
-    decoder = Mlp([d_x, d_y], activation="tanh", rng=rng, name="dec", prefix="d.")
-    return LatentFlowModel(spec, ColumnMap(d_x, d_x), ColumnMap(d_y, d_x), decoder, dynamics)
+    return build_model(ModelSpec(d_x, d_y, task, dyn_hidden=hidden, dyn_depth=depth,
+                                 method="node"), seed)
 
 
 def write_run_files(out_dir, writers: dict[str, Callable[[Path], None]]) -> None:
@@ -255,11 +259,11 @@ def write_run_files(out_dir, writers: dict[str, Callable[[Path], None]]) -> None
 
 
 def load_model_params(path, spec: ModelSpec) -> LatentFlowModel:
-    """The latent model of ``spec`` made of the arrays of the checkpoint at ``path``,
+    """The model of ``spec`` made of the arrays of the checkpoint at ``path``,
     which must hold exactly its parameters; see `Mlp` for the order of checks."""
     loaded = nn.load_checkpoint(path)
     try:
-        model = _latent_model(spec, params=loaded)
+        model = _networks(spec, params=loaded)
         if loaded:  # what the model did not take
             raise CheckpointError(f"unexpected parameter {next(iter(loaded))!r}")
     except CheckpointError as exc:

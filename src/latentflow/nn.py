@@ -8,11 +8,11 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .tensor import GradientMap, ShapeMismatch, Tensor, as_tensor, linear, relu, tanh
+from .tensor import GradientMap, ShapeMismatch, Tensor, as_tensor, linear, tanh
 
 __all__ = [
     "Mlp",
@@ -25,9 +25,6 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
 ]
-
-_ACTIVATIONS = {"tanh": tanh, "relu": relu}
-
 
 class OptimizerError(RuntimeError):
     """Raised on invalid optimizer input (e.g. NaN gradients)."""
@@ -62,11 +59,9 @@ class Mlp:
     then goes up once per block for each evaluation its NFE counts.
     """
 
-    def __init__(self, dims: Iterable[int], activation: str = "tanh",
+    def __init__(self, dims: Iterable[int], activation: Callable[[Tensor], Tensor] = tanh,
                  time_conditioned: bool = False, rng: np.random.Generator | None = None,
                  name: str = "mlp", prefix: str = "", params: dict[str, np.ndarray] | None = None):
-        if activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}")
         if rng is None and params is None:
             rng = np.random.default_rng(0)
         extra = 1 if time_conditioned else 0
@@ -107,12 +102,11 @@ class Mlp:
         if h.shape[1] != self.d_in:
             raise ShapeMismatch("mlp layer 0", h.shape, self.layers[0].weight.shape)
         self.calls += 1
-        act = _ACTIVATIONS[self.activation]
         last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
             h = linear(h, layer.weight, layer.bias, t)
             if i < last:
-                h = act(h)
+                h = self.activation(h)
         return h
 
     def parameters(self) -> list[Tensor]:

@@ -386,6 +386,8 @@ _MALFORMED = {
         "manifest.json", _edit_manifest("model_spec", "dyn_activation", "bogus"), "dyn_activation"),
     "model_spec with an unknown schedule": (
         "manifest.json", _edit_manifest("model_spec", "schedule", "bogus"), "schedule"),
+    "model_spec with an unknown method": (
+        "manifest.json", _edit_manifest("model_spec", "method", "bogus"), "method"),
     "normalization with a string x_std": (
         "manifest.json", _edit_manifest("normalization", "x_std", "abc"), "x_std"),
     "x_mean of 5 values for 2 columns": ("manifest.json", _resize_stat("x_mean", 5), "x_mean"),
@@ -409,14 +411,19 @@ def test_malformed_run_directory_exits_2_naming_the_file(trained_run, tmp_path, 
         assert (repr(param) if name == "checkpoint.json" else param) in errors[0]
 
 
-def test_manifest_recording_the_fixed_activations_evals_the_same(trained_run, tmp_path, capsys):
+@pytest.mark.parametrize("edit", [
     # manifests written while the activations were settings record relu and tanh
+    pytest.param(lambda spec: spec.update(enc_activation="relu", dyn_activation="tanh"),
+                 id="recording the fixed activations"),
+    # manifests written before the spec named its method hold latent FM
+    pytest.param(lambda spec: spec.pop("method"), id="without a method"),
+])
+def test_older_manifest_evals_the_same(trained_run, tmp_path, capsys, edit):
     run = tmp_path / "run"
     shutil.copytree(trained_run, run)
     assert main(["eval", "--checkpoint", str(run)]) == 0
     expected = capsys.readouterr().out
-    _edit_json(run / "manifest.json", lambda m: m["model_spec"].update(
-        enc_activation="relu", dyn_activation="tanh"))
+    _edit_json(run / "manifest.json", lambda m: edit(m["model_spec"]))
     assert main(["eval", "--checkpoint", str(run)]) == 0
     assert capsys.readouterr().out == expected
 
@@ -474,12 +481,15 @@ def _mutate(data, payload: dict, how: str) -> None:
         bits = _f64be_hex(data.draw(st.sampled_from([math.nan, math.inf, -math.inf])))
         rec["values"] = rec["values"][:i] + bits + rec["values"][i + 16:]
         return
-    if how == "out-of-domain":  # a model_spec width or depth no model has, or an
-        # activation key of an older manifest with a value no model had
-        field = data.draw(st.sampled_from(_SPEC_SIZES + ("enc_activation", "dyn_activation")))
+    if how == "out-of-domain":  # a model_spec width or depth no model has, a
+        # method no model is, or an activation key of an older manifest with a
+        # value no model had
+        field = data.draw(st.sampled_from(
+            _SPEC_SIZES + ("method", "enc_activation", "dyn_activation")))
         payload["model_spec"][field] = data.draw(
             st.sampled_from([0, -1, 10**9, 2**62]) if field in _SPEC_SIZES
-            else st.text(max_size=8).filter(lambda s: s not in ("relu", "tanh")))
+            else st.text(max_size=8).filter(
+                lambda s: s not in ("latent_fm", "direct_fm", "node", "relu", "tanh")))
         return
     at = functools.partial(functools.reduce, operator.getitem)
     paths = [p for p in _json_paths(payload) if how != "resize" or isinstance(at(p, payload), list)]
@@ -505,9 +515,9 @@ def _mutate(data, payload: dict, how: str) -> None:
 def test_mutated_manifest_exits_2_or_changes_nothing(mutable_run, capsys, caplog, data):
     # in the manifest or the checkpoint, drop a value, change its type, resize a
     # list or put in a non-finite number, set one parameter value's bits to a
-    # non-finite one, or give the model spec a width, depth or legacy activation
-    # out of its domain: eval either rejects the run directory in one line or
-    # prints exactly what it did
+    # non-finite one, or give the model spec a width, depth, method or legacy
+    # activation out of its domain: eval either rejects the run directory in
+    # one line or prints exactly what it did
     run, originals, expected = mutable_run
     name = data.draw(st.sampled_from(sorted(originals)))
     kinds = ["drop", "retype", "resize", "non-finite"]

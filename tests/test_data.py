@@ -17,7 +17,7 @@ from latentflow.data import (
     toy_crossing,
 )
 from latentflow.nn import AdamState, Mlp, adam_step, cosine_lr
-from latentflow.tensor import Tensor, backward, mean_all, sq_diff_rowsum
+from latentflow.tensor import Tensor, backward, mean_all, sq_diff_rowsum, tanh
 
 
 def _segments_cross(p0, p1, q0, q1) -> bool:
@@ -247,7 +247,7 @@ def test_synth_generator_is_smooth_enough_to_fit():
     # sanity of the generator: a 64-hidden MLP drives train RMSE below 0.05
     ds = synth_regression(256, 2, seed=11)
     rng = np.random.default_rng(1)
-    mlp = Mlp([2, 64, 1], activation="tanh", rng=rng, name="fit")
+    mlp = Mlp([2, 64, 1], activation=tanh, rng=rng, name="fit")
     params = mlp.parameters()
     state = AdamState.for_params(params)
     batches = np.random.default_rng(2)

@@ -1,3 +1,4 @@
+import json
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -22,7 +23,7 @@ from latentflow.model import (
     write_run_files,
 )
 from latentflow.nn import save_checkpoint
-from latentflow.schedules import interpolate
+from latentflow.schedules import SCHEDULES, interpolate
 from latentflow.solvers import SolverSpec, _row_blocks
 from latentflow.tensor import no_grad
 
@@ -240,16 +241,49 @@ def test_baselines_reject_mismatched_dims(trainer):
             node_baseline_train(build_node_baseline(2, 2, bad.task, hidden=4, depth=2), bad, cfg)
 
 
-def test_model_checkpoint_round_trip(tmp_path, toy_latent, toy_ds):
-    model, _ = toy_latent
+def _assert_same_parameters(model, clone):
+    pairs = zip(model.named_parameters(), clone.named_parameters(), strict=True)
+    for (name_a, a), (name_b, b) in pairs:
+        assert name_a == name_b and np.array_equal(a.data.view(np.uint64), b.data.view(np.uint64))
+
+
+@pytest.mark.parametrize("method", ["latent_fm", "direct_fm", "node"])
+def test_model_checkpoint_round_trip(tmp_path, request, toy_ds, method):
+    # a baseline's spec used to build a latent model, so its checkpoint did
+    # not load: missing parameter 'f.enc.0.weight'
+    if method == "node":
+        model = build_node_baseline(2, 2, toy_ds.task, hidden=8, depth=2, seed=3)
+    else:
+        model, _ = request.getfixturevalue("toy_latent" if method == "latent_fm" else "toy_direct")
+    assert model.spec.method == method
     path = tmp_path / "ckpt.json"
     save_checkpoint(path, model.named_parameters())
     clone = load_model_params(path, model.spec)
-    for (_, a), (_, b) in zip(model.named_parameters(), clone.named_parameters()):
-        assert np.array_equal(a.data, b.data)
+    _assert_same_parameters(model, clone)
     pa, _ = model.predict_raw(toy_ds.x, EULER1)
     pb, _ = clone.predict_raw(toy_ds.x, EULER1)
     assert np.array_equal(pa, pb)
+
+
+_SIZE = st.integers(1, 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.builds(
+    lf.ModelSpec, d_x=_SIZE, d_y=_SIZE,
+    task=st.one_of(st.just(TaskKind.regression()), _SIZE.map(TaskKind.classification)),
+    schedule=st.sampled_from(sorted(SCHEDULES)), latent_dim=st.none() | _SIZE,
+    enc_hidden=_SIZE, enc_depth=st.integers(1, 3), dyn_hidden=_SIZE, dyn_depth=st.integers(1, 3),
+    method=st.sampled_from(["latent_fm", "direct_fm", "node"])),
+    seed=st.integers(0, 2**32 - 1))
+def test_any_spec_survives_its_manifest_and_its_model_a_checkpoint(spec, seed):
+    assert lf.ModelSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+    model = lf.build_model(spec, seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.json"
+        save_checkpoint(path, model.named_parameters())
+        clone = load_model_params(path, spec)
+    _assert_same_parameters(model, clone)
 
 
 def test_latent_width_mismatch_rejected():

@@ -14,7 +14,7 @@ from latentflow.nn import (
     load_checkpoint,
     save_checkpoint,
 )
-from latentflow.tensor import ShapeMismatch, Tensor, backward, mean_all, sq_diff_rowsum
+from latentflow.tensor import ShapeMismatch, Tensor, backward, mean_all, relu, sq_diff_rowsum, tanh
 
 
 def _single_layer(weight, time_conditioned=False):
@@ -197,7 +197,7 @@ def test_small_mlp_fits_sine():
     rng = np.random.default_rng(0)
     x = np.linspace(-math.pi, math.pi, 64)[:, None]
     y = np.sin(x)
-    mlp = Mlp([1, 32, 1], activation="tanh", rng=rng, name="sin")
+    mlp = Mlp([1, 32, 1], activation=tanh, rng=rng, name="sin")
     params = mlp.parameters()
     state = AdamState.for_params(params)
     loss = None
@@ -210,7 +210,7 @@ def test_small_mlp_fits_sine():
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(1)
-    mlp = Mlp([3, 7, 2], activation="relu", rng=rng, name="net")
+    mlp = Mlp([3, 7, 2], activation=relu, rng=rng, name="net")
     path = tmp_path / "ckpt.json"
     save_checkpoint(path, mlp.named_parameters())
     loaded = load_checkpoint(path)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from latentflow import solvers
 from latentflow.nn import Mlp
 from latentflow.solvers import SolveResult, SolverError, SolverSpec, solve, solve_with_grad
-from latentflow.tensor import Tensor, backward, grad_check, mean_all, no_grad, sq_diff_rowsum
+from latentflow.tensor import Tensor, backward, grad_check, mean_all, no_grad, sq_diff_rowsum, tanh
 
 EXP_MINUS_ONE = 0.36787944117144233  # closed-form solution of z' = -z at t = 1
 
@@ -209,7 +209,7 @@ def test_grad_solve_gradient_wrt_initial_state_of_constant_field_is_identity():
 @pytest.mark.parametrize("method, expected_nfe", [("euler", 8), ("rk4", 32)])
 def test_grad_solve_matches_finite_differences(method, expected_nfe):
     rng = np.random.default_rng(3)
-    f = Mlp([2, 6, 2], activation="tanh", time_conditioned=True, rng=rng, name="f")
+    f = Mlp([2, 6, 2], activation=tanh, time_conditioned=True, rng=rng, name="f")
     x = rng.uniform(-1.0, 1.0, size=(3, 2))
     target = rng.uniform(-1.0, 1.0, size=(3, 2))
 
@@ -232,7 +232,7 @@ def test_grad_solve_gradients_match_finite_differences(method, n, seed):
     # Odd and even step counts: a sign error in an update's backward flips
     # once per step, so an even count alone can cancel it.
     rng = np.random.default_rng(seed)
-    f = Mlp([2, 5, 2], activation="tanh", time_conditioned=True, rng=rng, name="f")
+    f = Mlp([2, 5, 2], activation=tanh, time_conditioned=True, rng=rng, name="f")
     z0 = Tensor(rng.uniform(-1.0, 1.0, size=(3, 2)), requires_grad=True)
     target = Tensor(rng.uniform(-1.0, 1.0, size=(3, 2)))
     spec = SolverSpec(method, n)
@@ -254,7 +254,7 @@ def test_grad_solve_rejects_adaptive_and_bad_steps():
 def test_solve_steps_the_same_bits_as_the_grad_solve(text):
     # one fixed-step loop: inference and training integrate identically
     rng = np.random.default_rng(7)
-    f = Mlp([3, 8, 3], activation="tanh", time_conditioned=True, rng=rng, name="f")
+    f = Mlp([3, 8, 3], activation=tanh, time_conditioned=True, rng=rng, name="f")
     z0 = rng.uniform(-1.0, 1.0, size=(5, 3))
     spec = SolverSpec.parse(text)
     res = solve(lambda z, t: f.forward(z, t).data, z0, 0.0, 1.0, spec)
@@ -266,7 +266,7 @@ def test_solve_steps_the_same_bits_as_the_grad_solve(text):
 
 def _latent_field(seed: int = 3):
     # the synth-sized dynamics network: latent 34, hidden 64, time-conditioned
-    f = Mlp([34, 64, 64, 34], activation="tanh", time_conditioned=True,
+    f = Mlp([34, 64, 64, 34], activation=tanh, time_conditioned=True,
             rng=np.random.default_rng(seed), name="h")
     return f, lambda z, t: f.forward(z, t).data
 
